@@ -122,12 +122,17 @@ def spe_transform(f_s_i: ad.Tensor, f_k_last: ad.Tensor, params: dict[str, ad.Te
 
 
 def csp_mix(f_s_i: ad.Tensor, u_k_i: ad.Tensor, mask: np.ndarray) -> ad.Tensor:
-    """f' = (1 - M) * f_s + M * u, mask broadcast over batch and channels."""
+    """f' = (1 - M) * f_s + M * u on (B, C, H, W) features, M broadcast over channels.
+
+    `mask` is one (H, W) mask for the whole batch or a (B, H, W) stack with
+    one mask per batch element.
+    """
     if f_s_i.shape != u_k_i.shape:
         raise ad.ShapeError("csp_mix", f_s_i.shape, u_k_i.shape)
-    if mask.shape != tuple(f_s_i.shape[-2:]):
+    b, _, h, w = f_s_i.shape
+    if mask.shape not in ((h, w), (b, h, w)):
         raise ad.ShapeError("csp_mix.mask", mask.shape, f_s_i.shape)
     if not np.all((mask == 0.0) | (mask == 1.0)):
         raise ValueError("csp_mix requires a binary mask")
-    m = np.broadcast_to(mask, f_s_i.shape).copy()
+    m = np.broadcast_to(mask if mask.ndim == 2 else mask[:, None], f_s_i.shape).copy()
     return ad.add(ad.mul(f_s_i, ad.constant(1.0 - m)), ad.mul(u_k_i, ad.constant(m)))

@@ -111,15 +111,19 @@ def featurize(params: ClassifierParams, image: np.ndarray) -> FeatureStack:
     )
 
 
+def head(W: np.ndarray, b: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The linear head on one latent: logits = W^T z + b, probs = softmax(logits)."""
+    logits = (z[None] @ W + b)[0]
+    e = np.exp(logits - logits.max())
+    return logits, e / e.sum()
+
+
 def classify(params: ClassifierParams, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Head only: logits = W^T z + b, probs = softmax(logits)."""
+    """`head` with this classifier's weights, for a latent of its width."""
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (params.config.latent_dim,):
         raise ad.ShapeError("classify", z.shape, (params.config.latent_dim,))
-    logits = (z[None] @ params.head_w + params.head_b)[0]
-    shifted = logits - logits.max()
-    e = np.exp(shifted)
-    return logits, e / e.sum()
+    return head(params.head_w, params.head_b, z)
 
 
 def accuracy(params: ClassifierParams, ds: LabeledDataset, chunk: int = 128) -> float:

@@ -15,8 +15,8 @@ from . import geometry
 from .classifier import (ClassifierConfig, TrainHyper, featurize, load_classifier,
                          save_classifier, train_classifier)
 from .dataset import DatasetConfig, LabeledDataset, generate_dataset, split
-from .evaluation import evaluate_suite
-from .pgm import read_pgm, write_pgm
+from .evaluation import evaluate_suite, write_csv
+from .pgm import quantize, read_pgm, write_pgm
 from .training import TrainConfig, load_generator, save_discriminator, save_generator, train_generator
 
 _SCHEMA = {
@@ -52,14 +52,6 @@ def _seed_override(section: dict) -> dict:
     return section
 
 
-def _write_csv(path, header: list[str], rows: list[dict]) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=header, extrasaction="ignore")
-        w.writeheader()
-        for row in rows:
-            w.writerow(row)
-
-
 # -- dataset directory layout --------------------------------------------------
 
 
@@ -73,7 +65,7 @@ def write_dataset_dir(out_dir: Path, train: LabeledDataset, test: LabeledDataset
             write_pgm(out_dir / name, img)
             rows.append({"filename": name, "label": label, "split": ds.split})
             index += 1
-    _write_csv(out_dir / "labels.csv", ["filename", "label", "split"], rows)
+    write_csv(out_dir / "labels.csv", ["filename", "label", "split"], rows)
 
 
 def read_dataset_dir(data_dir: Path) -> tuple[LabeledDataset, LabeledDataset]:
@@ -115,7 +107,7 @@ def cmd_train_classifier(args) -> None:
                                        log=lambda r: print(f"epoch {r['epoch']}: loss {r['loss']:.4f} "
                                                            f"train {r['train_acc']:.3f} test {r.get('test_acc', float('nan')):.3f}"))
     save_classifier(args.out, params)
-    _write_csv(str(args.out) + ".accuracy.csv", ["epoch", "loss", "train_acc", "test_acc"], history)
+    write_csv(str(args.out) + ".accuracy.csv", ["epoch", "loss", "train_acc", "test_acc"], history)
     print(f"wrote classifier checkpoint to {args.out}")
 
 
@@ -128,8 +120,8 @@ def cmd_train_generator(args) -> None:
                                         log=lambda r: print(f"epoch {r['epoch']}: total {r['total']:.4f}"))
     save_generator(args.out, gen)
     save_discriminator(str(args.out) + ".disc", dis)
-    _write_csv(str(args.out) + ".loss.csv",
-               ["epoch", "step", "cls", "adv_g", "adv_d", "rec", "fea", "tri", "total"], history)
+    write_csv(str(args.out) + ".loss.csv",
+              ["epoch", "step", "cls", "adv_g", "adv_d", "rec", "fea", "tri", "total"], history)
     print(f"wrote generator checkpoint to {args.out}")
 
 
@@ -153,10 +145,8 @@ def cmd_explain(args) -> None:
         k = float(k)
         z_k = geometry.position(stack.z, mirror, k)
         f_k = geometry.kfe_feature(stack.f_last, stack.z, k, mirror)
-        gen_kwargs = {}
-        if gen.ssc:
-            gen_kwargs = {"source_stack": stack, "source": source, "target": target, "k": k}
-        x_k = generate_image(gen, clf, f_k, **gen_kwargs)
+        # the CSV describes the 8-bit frame on disk, not the float decode
+        x_k = quantize(generate_image(gen, clf, f_k, stack, source, target, k))
         write_pgm(out_dir / f"frame_{i:03}.pgm", x_k)
         q = geometry.pair_confidence(z_k, mirror)
         pred = featurize(clf, x_k).probs
@@ -168,9 +158,9 @@ def cmd_explain(args) -> None:
             "pred_p_target": f"{pred[target]:.9f}",
             "l1_to_source": f"{float(np.mean(np.abs(x_k - image))):.9f}",
         })
-    _write_csv(out_dir / "confidence.csv",
-               ["k", "intended_q_source", "intended_q_target", "pred_p_source",
-                "pred_p_target", "l1_to_source"], rows)
+    write_csv(out_dir / "confidence.csv",
+              ["k", "intended_q_source", "intended_q_target", "pred_p_source",
+               "pred_p_target", "l1_to_source"], rows)
     print(f"wrote {len(ks)} frames to {out_dir}")
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .classifier import ClassifierParams, classify, featurize
+from .classifier import ClassifierParams, FeatureStack, classify, featurize
 from .dataset import LabeledDataset
 from .training import GeneratorParams, generate_image
 
@@ -45,15 +45,13 @@ def denoised_validity(clf: ClassifierParams, x_cf: np.ndarray, target: int,
     return int(np.argmax(featurize(clf, blurred).probs)) == target
 
 
-def faithfulness(clf: ClassifierParams, gen: GeneratorParams, z_k: np.ndarray,
-                 f_k: np.ndarray, **gen_kwargs) -> tuple[float, float]:
+def faithfulness(clf: ClassifierParams, z_k: np.ndarray, stack: FeatureStack) -> tuple[float, float]:
     """Feature roundtrip distance and mean absolute confidence difference.
 
-    Generates the image for f_k, re-encodes it, and compares both the latent
-    (Euclidean) and the intended vs recovered class probabilities (mean L1).
+    `stack` is the re-encoding of the image decoded for z_k. Compares both the
+    latent (Euclidean) and the intended vs recovered class probabilities
+    (mean L1).
     """
-    x = generate_image(gen, clf, f_k, **gen_kwargs)
-    stack = featurize(clf, x)
     _, p_intended = classify(clf, z_k)
     fea = float(np.linalg.norm(z_k - stack.z))
     conf_l1 = float(np.mean(np.abs(p_intended - stack.probs)))
@@ -69,11 +67,15 @@ class EvalReport:
                   "d_validity", "fea_dist", "conf_l1"]
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.DictWriter(f, fieldnames=self.CSV_HEADER, extrasaction="ignore")
-            w.writeheader()
-            for row in self.rows:
-                w.writerow(row)
+        write_csv(path, self.CSV_HEADER, self.rows)
+
+
+def write_csv(path, header: list[str], rows: list[dict]) -> None:
+    """The `header` columns of each row; keys outside the header are dropped."""
+    with open(path, "w", newline="") as f:
+        w = csv.DictWriter(f, fieldnames=header, extrasaction="ignore")
+        w.writeheader()
+        w.writerows(rows)
 
 
 def evaluate_suite(clf: ClassifierParams, gen: GeneratorParams, test_set: LabeledDataset,
@@ -88,16 +90,19 @@ def evaluate_suite(clf: ClassifierParams, gen: GeneratorParams, test_set: Labele
     from the k=1 point and an empty first_cfe_k.
     """
     report = EvalReport()
+    stacks: dict[int, FeatureStack] = {}  # each test image is featurized once, when first reached
     for s, t in class_pairs:
+        mirror = geometry.make_mirror(clf.head_w, clf.head_b, s, t)
         count = 0
-        for idx, (img, _label) in enumerate(zip(test_set.images, test_set.labels)):
-            stack = featurize(clf, img)
+        for idx, img in enumerate(test_set.images):
+            if idx not in stacks:
+                stacks[idx] = featurize(clf, img)
+            stack = stacks[idx]
             if int(np.argmax(stack.probs)) != s:
                 continue
             if max_per_pair is not None and count >= max_per_pair:
                 break
             count += 1
-            mirror = geometry.make_mirror(clf.head_w, clf.head_b, s, t)
             traj = geometry.sample_trajectory(stack.z, mirror, clf.head_w, clf.head_b, steps=steps)
             try:
                 first = geometry.first_cfe(traj)
@@ -105,16 +110,13 @@ def evaluate_suite(clf: ClassifierParams, gen: GeneratorParams, test_set: Labele
             except geometry.NoFlipError:
                 first_k = None
             f_k1 = geometry.kfe_feature(stack.f_last, stack.z, 1.0, mirror)
-            gen_kwargs = {}
-            if gen.ssc:
-                gen_kwargs = {"source_stack": stack, "source": s, "target": t, "k": 1.0}
-            x_cf = generate_image(gen, clf, f_k1, **gen_kwargs)
+            x_cf = generate_image(gen, clf, f_k1, stack, s, t, 1.0)
             cf_stack = featurize(clf, x_cf)
             valid = int(np.argmax(cf_stack.probs)) == t
             l1 = float(np.mean(np.abs(x_cf - img)))
             d_valid = denoised_validity(clf, x_cf, t, blur_size, blur_sigma)
             z_k1 = traj.latent_at(1.0)
-            fea, conf_l1 = faithfulness(clf, gen, z_k1, f_k1, **gen_kwargs)
+            fea, conf_l1 = faithfulness(clf, z_k1, cf_stack)
             report.rows.append({
                 "sample": idx, "source": s, "target": t,
                 "first_cfe_k": "" if first_k is None else f"{first_k:.6f}",

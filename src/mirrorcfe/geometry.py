@@ -10,9 +10,11 @@ swap while the remaining logits stay put.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+
+from .classifier import head
 
 
 class DegenerateMirrorError(ValueError):
@@ -107,21 +109,22 @@ class KfePoint:
         return _kind(self.k)
 
 
-def _head_probs(W: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
-    logits = W.T @ z + b
-    e = np.exp(logits - logits.max())
-    return e / e.sum()
-
-
 @dataclass(frozen=True)
 class Trajectory:
+    """KfePoints on a uniform k-grid of `steps` points from z_s (k=0) to k=1."""
+
     z_s: np.ndarray
     mirror: Mirror
     W: np.ndarray
     b: np.ndarray
-    points: tuple[KfePoint, ...]
     mode: str  # "binary" | "multiclass"
     z_r_prime: np.ndarray | None = None
+    steps: int = 21
+    points: tuple[KfePoint, ...] = field(init=False)
+
+    def __post_init__(self):
+        ks = np.linspace(0.0, 1.0, self.steps)
+        object.__setattr__(self, "points", tuple(self.point_at(float(k)) for k in ks))
 
     def latent_at(self, k: float) -> np.ndarray:
         if self.mode == "binary":
@@ -131,7 +134,7 @@ class Trajectory:
     def point_at(self, k: float) -> KfePoint:
         z = self.latent_at(k)
         return KfePoint(k=k, z=z, q_pair=pair_confidence(z, self.mirror),
-                        p_multi=_head_probs(self.W, self.b, z))
+                        p_multi=head(self.W, self.b, z)[1])
 
 
 def sample_trajectory(z_s: np.ndarray, mirror: Mirror, W: np.ndarray, b: np.ndarray,
@@ -144,10 +147,7 @@ def sample_trajectory(z_s: np.ndarray, mirror: Mirror, W: np.ndarray, b: np.ndar
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "multiclass" and z_r_prime is None:
         raise ValueError("multiclass mode requires a converged z_r_prime")
-    traj = Trajectory(z_s=z_s, mirror=mirror, W=W, b=b, points=(), mode=mode, z_r_prime=z_r_prime)
-    ks = np.linspace(0.0, 1.0, steps)
-    points = tuple(traj.point_at(float(k)) for k in ks)
-    return Trajectory(z_s=z_s, mirror=mirror, W=W, b=b, points=points, mode=mode, z_r_prime=z_r_prime)
+    return Trajectory(z_s=z_s, mirror=mirror, W=W, b=b, mode=mode, z_r_prime=z_r_prime, steps=steps)
 
 
 def first_cfe(trajectory: Trajectory, tol: float = 1e-3) -> KfePoint:

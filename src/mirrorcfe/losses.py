@@ -30,19 +30,6 @@ class TriConfig:
             raise ValueError(f"alpha {self.alpha} outside [0, 1]")
 
 
-@dataclass
-class LossReport:
-    cls: float = 0.0
-    adv_g: float = 0.0
-    adv_d: float = 0.0
-    rec: float = 0.0
-    fea: float = 0.0
-    tri: float = 0.0
-    prox: float | None = None
-    total: float = 0.0
-    clamped: bool = False
-
-
 def loss_cls(p_intended, p_predicted) -> ad.Tensor:
     """KL divergence from the intended distribution to the predicted one."""
     p = ad._lift(p_intended)
@@ -85,11 +72,6 @@ def loss_fea(z_k, z_roundtrip) -> ad.Tensor:
     if a.shape != b.shape:
         raise ad.ShapeError("loss_fea", a.shape, b.shape)
     return ad.l2_norm(ad.sub(a, b))
-
-
-def loss_prox(x_s, x_k) -> ad.Tensor:
-    """Plain proximity baseline (mean absolute difference); ablation only."""
-    return ad.l1_distance(ad._lift(x_s), ad._lift(x_k))
 
 
 def tri_ratio(z_s: np.ndarray, z_k: np.ndarray, z_ref: np.ndarray, floor: float) -> float:

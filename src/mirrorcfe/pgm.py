@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 
 
-def write_pgm(path: str | Path, image: np.ndarray) -> None:
-    """Write a (H, W) or (1, H, W) float image in [0, 1] as 8-bit P5."""
+def _to_bytes(image: np.ndarray) -> np.ndarray:
+    """A (H, W) or (1, H, W) float image in [0, 1] as (H, W) 8-bit levels."""
     img = np.asarray(image, dtype=np.float64)
     if img.ndim == 3:
         if img.shape[0] != 1:
@@ -16,7 +16,21 @@ def write_pgm(path: str | Path, image: np.ndarray) -> None:
         img = img[0]
     if img.ndim != 2:
         raise ValueError(f"write_pgm expects 2-D data, got shape {img.shape}")
-    quantized = np.clip(np.round(img * 255.0), 0, 255).astype(np.uint8)
+    return np.clip(np.round(img * 255.0), 0, 255).astype(np.uint8)
+
+
+def _from_bytes(levels: np.ndarray) -> np.ndarray:
+    return levels[None].astype(np.float64) / 255.0
+
+
+def quantize(image: np.ndarray) -> np.ndarray:
+    """The (1, H, W) image that read_pgm returns for a file write_pgm wrote from `image`."""
+    return _from_bytes(_to_bytes(image))
+
+
+def write_pgm(path: str | Path, image: np.ndarray) -> None:
+    """Write a (H, W) or (1, H, W) float image in [0, 1] as 8-bit P5."""
+    quantized = _to_bytes(image)
     h, w = quantized.shape
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
@@ -47,4 +61,4 @@ def read_pgm(path: str | Path) -> np.ndarray:
         raise ValueError(f"{path}: unsupported maxval {maxval}")
     pos += 1  # single whitespace after maxval
     pixels = np.frombuffer(raw, dtype=np.uint8, count=w * h, offset=pos)
-    return (pixels.reshape(1, h, w).astype(np.float64)) / 255.0
+    return _from_bytes(pixels.reshape(h, w))

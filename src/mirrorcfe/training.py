@@ -16,7 +16,7 @@ from . import autodiff as ad
 from . import cam as camlib
 from . import geometry, losses
 from .checkpoint import load_checkpoint, save_checkpoint
-from .classifier import ClassifierParams, checkpoint_checksum, forward_graph
+from .classifier import ClassifierParams, checkpoint_checksum, classify, forward_graph
 from .dataset import LabeledDataset
 
 
@@ -27,6 +27,10 @@ class TrainingDivergedError(RuntimeError):
         super().__init__(message)
         self.generator = generator
         self.discriminator = discriminator
+
+
+class ClassifierMutatedError(RuntimeError):
+    """The frozen classifier's weights changed during generator training."""
 
 
 @dataclass(frozen=True)
@@ -115,12 +119,33 @@ def init_discriminator(clf_cfg, seed: int) -> DiscriminatorParams:
     })
 
 
+def ssc_skip(gp: dict[str, ad.Tensor], config: dict, clf: ClassifierParams, f_s_first: np.ndarray,
+             f_input: ad.Tensor, sources, targets, ks) -> ad.Tensor:
+    """CSP-mixed skip features of B elements, for training and inference alike.
+
+    Element i mixes its source image's first-stage features f_s_first[i] with
+    their SPE edit under the CAM prior mask of (sources[i], targets[i], ks[i]),
+    taken on its generator input f_input[i] and thresholded within the
+    generator's own bounds config["rho_lower"], config["rho_upper"].
+    """
+    shape = _spe_shape(clf.config)
+    f_s = ad.constant(f_s_first)
+    u = camlib.spe_transform(f_s, f_input, gp, shape, "spe0")
+    masks = []
+    for f_k, s, t, k in zip(f_input.data, sources, targets, ks):
+        cams = camlib.cam(clf.head_w, f_k)
+        thr = camlib.rho(k, config["rho_lower"], config["rho_upper"])
+        pm = camlib.prior_mask(cams.normalized[s], cams.normalized[t], thr, k, {0: (shape.size, shape.size)})
+        masks.append(pm.per_layer[0])
+    return camlib.csp_mix(f_s, u, np.stack(masks))
+
+
 def generator_forward(gp: dict[str, ad.Tensor], f_input: ad.Tensor,
                       skip: ad.Tensor | None = None) -> ad.Tensor:
     """Decode (B, C_l, H_l, W_l) features to (B, C, H, W) images in (0, 1).
 
-    `skip` is the CSP-mixed skip-connection feature at the first tapped layer;
-    None runs the plain encoder-decoder path.
+    `skip` is the `ssc_skip` feature at the first tapped layer; None runs the
+    plain encoder-decoder path.
     """
     h = ad.relu(ad.conv2d(ad.upsample2(f_input), gp["g_conv1_w"], gp["g_conv1_b"]))
     if skip is not None:
@@ -191,7 +216,7 @@ def sample_kfe_batch(dataset: LabeledDataset, clf: ClassifierParams, stacks: lis
         mirror = geometry.make_mirror(clf.head_w, clf.head_b, s_pred, t)
         z_k = geometry.position(stack.z, mirror, k)
         f_k = geometry.kfe_feature(stack.f_last, stack.z, k, mirror)
-        _, p_intended = _classify(clf, z_k)
+        _, p_intended = classify(clf, z_k)
         if k == 0.0:
             # z_k == z_s makes the latent ratio degenerate unless the
             # reference is the source image itself
@@ -205,31 +230,6 @@ def sample_kfe_batch(dataset: LabeledDataset, clf: ClassifierParams, stacks: lis
             z_s=stack.z, z_k=z_k, f_input=f_k, f_s_stack=stack.features,
             p_intended=p_intended, x_ref=x_ref, z_ref=z_ref))
     return elements
-
-
-def _classify(clf: ClassifierParams, z: np.ndarray):
-    logits = (z[None] @ clf.head_w + clf.head_b)[0]
-    e = np.exp(logits - logits.max())
-    return logits, e / e.sum()
-
-
-def _skip_for_batch(elements, gp, clf, cfg: TrainConfig, f_input: ad.Tensor) -> ad.Tensor:
-    """SSC path: SPE edit of the tapped skip features, gated by the CAM mask."""
-    shape = _spe_shape(clf.config)
-    f_s_1 = ad.constant(np.stack([e.f_s_stack[0] for e in elements]))
-    u = camlib.spe_transform(f_s_1, f_input, gp, shape, "spe0")
-    masks = []
-    for e in elements:
-        k = e.k if e.k is not None else 0.0
-        f_k = e.f_input
-        cams = camlib.cam(clf.head_w, f_k)
-        thr = camlib.rho(k, cfg.rho_lower, cfg.rho_upper)
-        pm = camlib.prior_mask(cams.normalized[e.source], cams.normalized[e.target], thr, k,
-                               {0: (shape.size, shape.size)})
-        masks.append(pm.per_layer[0])
-    mask = np.stack(masks)[:, None, :, :]  # (B,1,H,W) -> broadcast over channels
-    m = np.broadcast_to(mask, f_s_1.shape).copy()
-    return ad.add(ad.mul(f_s_1, ad.constant(1.0 - m)), ad.mul(u, ad.constant(m)))
 
 
 # -- training loop ------------------------------------------------------------
@@ -246,6 +246,8 @@ def train_generator(clf: ClassifierParams, dataset: LabeledDataset, cfg: TrainCo
 
     checksum_before = checkpoint_checksum(clf)
     gen0 = init_generator(clf.config, cfg.seed, cfg.ssc)
+    if cfg.ssc:  # the skip's CAM threshold bounds are saved with the weights and served as trained
+        gen0.config.update(rho_lower=cfg.rho_lower, rho_upper=cfg.rho_upper)
     dis0 = init_discriminator(clf.config, cfg.seed)
     gp = {k: ad.Tensor(v.copy(), trainable=True) for k, v in gen0.tensors.items()}
     dp = {k: ad.Tensor(v.copy(), trainable=True) for k, v in dis0.tensors.items()}
@@ -264,7 +266,11 @@ def train_generator(clf: ClassifierParams, dataset: LabeledDataset, cfg: TrainCo
         for step in range(steps_per_epoch):
             elements = sample_kfe_batch(dataset, clf, stacks, cfg.batch_size, rng, cfg)
             f_input = ad.constant(np.stack([e.f_input for e in elements]))
-            skip = _skip_for_batch(elements, gp, clf, cfg, f_input) if cfg.ssc else None
+            skip = None
+            if cfg.ssc:
+                skip = ssc_skip(gp, gen0.config, clf, np.stack([e.f_s_stack[0] for e in elements]), f_input,
+                                [e.source for e in elements], [e.target for e in elements],
+                                [0.0 if e.k is None else e.k for e in elements])
             x_gen = generator_forward(gp, f_input, skip=skip)
 
             # discriminator step on detached fakes
@@ -296,7 +302,7 @@ def train_generator(clf: ClassifierParams, dataset: LabeledDataset, cfg: TrainCo
                         tri_terms.append(losses.loss_tri(
                             e.x_s[None], x_i, e.x_ref[None], e.z_s, e.z_k, e.z_ref, e.k, tri_cfg))
                     if cfg.w_prox > 0:
-                        prox_terms.append(losses.loss_prox(e.x_s[None], x_i))
+                        prox_terms.append(losses.loss_rec(e.x_s[None], x_i))
 
             def _mean(terms):
                 if not terms:
@@ -339,7 +345,8 @@ def train_generator(clf: ClassifierParams, dataset: LabeledDataset, cfg: TrainCo
         if log is not None:
             log(history[-1])
 
-    assert checkpoint_checksum(clf) == checksum_before, "classifier was mutated during generator training"
+    if checkpoint_checksum(clf) != checksum_before:
+        raise ClassifierMutatedError("classifier weights changed during generator training")
     return _snapshot_gen(gp, cfg, gen0), _snapshot_dis(dp), history
 
 
@@ -356,27 +363,17 @@ def _snapshot_dis(dp) -> DiscriminatorParams:
 
 
 def generate_image(gen: GeneratorParams, clf: ClassifierParams, f_input: np.ndarray,
-                   source_stack=None, source: int | None = None, target: int | None = None,
-                   k: float | None = None, rho_bounds: tuple[float, float] = (0.2, 0.8)) -> np.ndarray:
+                   source_stack, source: int, target: int, k: float) -> np.ndarray:
     """Decode one (C_l, H_l, W_l) feature map to a (C, H, W) image.
 
-    With SSC enabled, the source image's tapped features plus the CAM mask for
-    (source, target, k) must be supplied.
+    The SSC context is the source image's FeatureStack, the class pair and
+    the step factor k; a plain generator ignores it.
     """
     gp = {name: ad.constant(v) for name, v in gen.tensors.items()}
     f = ad.constant(f_input[None])
     skip = None
     if gen.ssc:
-        if source_stack is None or source is None or target is None or k is None:
-            raise ValueError("SSC generation needs source_stack, source, target, and k")
-        shape = _spe_shape(clf.config)
-        f_s_1 = ad.constant(source_stack.features[0][None])
-        u = camlib.spe_transform(f_s_1, f, gp, shape, "spe0")
-        cams = camlib.cam(clf.head_w, f_input)
-        thr = camlib.rho(k, *rho_bounds)
-        pm = camlib.prior_mask(cams.normalized[source], cams.normalized[target], thr, k,
-                               {0: (shape.size, shape.size)})
-        skip = camlib.csp_mix(f_s_1, u, pm.per_layer[0])
+        skip = ssc_skip(gp, gen.config, clf, source_stack.features[0][None], f, [source], [target], [k])
     return generator_forward(gp, f, skip=skip).data[0]
 
 
@@ -389,6 +386,8 @@ def load_generator(path) -> GeneratorParams:
     if role != "generator":
         raise ValueError(f"{path}: expected a generator checkpoint, got role {role!r}")
     ssc = bool(cfg.pop("ssc", False))
+    if ssc and not {"rho_lower", "rho_upper"} <= set(cfg):
+        raise ValueError(f"{path}: SSC generator checkpoint lacks its rho_lower/rho_upper CAM bounds")
     return GeneratorParams(tensors, ssc=ssc, config=cfg)
 
 

@@ -2,12 +2,19 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mirrorcfe.classifier import featurize, load_classifier
 from mirrorcfe.cli import main, read_dataset_dir
 from mirrorcfe.pgm import read_pgm
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 TINY = {
     "dataset": {"per_class": 10, "seed": 0, "train_fraction": 0.5},
@@ -92,6 +99,30 @@ def test_explain_frames_and_confidence(workdir):
         assert float(r["l1_to_source"]) >= 0.0
 
 
+def test_explain_csv_describes_written_frames(workdir):
+    # every printed prediction and distance is the one the 8-bit frame on disk gives
+    data = workdir / "data"
+    with open(data / "labels.csv", newline="") as f:
+        first_test = next(r for r in csv.DictReader(f) if r["split"] == "test")
+    image = read_pgm(data / first_test["filename"])
+    clf = load_classifier(workdir / "clf.ckpt")
+    source = int(np.argmax(featurize(clf, image).probs))
+    target = (source + 1) % 4
+    out = workdir / "explain_disk"
+    assert main(["explain", "--classifier", str(workdir / "clf.ckpt"),
+                 "--generator", str(workdir / "gen.ckpt"), "--image", str(data / first_test["filename"]),
+                 "--target", str(target), "--steps", "21", "--out", str(out)]) == 0
+    with open(out / "confidence.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 21
+    for i, row in enumerate(rows):
+        frame = read_pgm(out / f"frame_{i:03}.pgm")
+        probs = featurize(clf, frame).probs
+        assert row["pred_p_source"] == f"{probs[source]:.9f}"
+        assert row["pred_p_target"] == f"{probs[target]:.9f}"
+        assert row["l1_to_source"] == f"{float(np.mean(np.abs(frame - image))):.9f}"
+
+
 def test_explain_two_steps(workdir):
     data = workdir / "data"
     with open(data / "labels.csv", newline="") as f:
@@ -156,3 +187,40 @@ def test_seed_env_override(tmp_path, monkeypatch):
     a = (tmp_path / "a" / "img_00000.pgm").read_bytes()
     b = (tmp_path / "b" / "img_00000.pgm").read_bytes()
     assert a != b
+
+
+def _cli_pipeline(root: Path, env: dict) -> dict[str, bytes]:
+    """The five commands, each in a fresh interpreter; returns every file written."""
+    root.mkdir()
+    config = {**TINY, "generator": {**TINY["generator"], "ssc": True}}
+    (root / "config.json").write_text(json.dumps(config))
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "mirrorcfe.cli", *argv], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    for argv in (["make-dataset", "--config", "config.json", "--out", "data"],
+                 ["train-classifier", "--data", "data", "--config", "config.json", "--out", "clf.ckpt"],
+                 ["train-generator", "--data", "data", "--classifier", "clf.ckpt", "--config", "config.json",
+                  "--out", "gen.ckpt"],
+                 ["evaluate", "--data", "data", "--classifier", "clf.ckpt", "--generator", "gen.ckpt",
+                  "--pairs", "0:1,1:0,2:3,3:2", "--out", "report.csv"]):
+        proc = cli(*argv)
+        assert proc.returncode == 0, proc.stderr
+    explain = ["explain", "--classifier", "clf.ckpt", "--generator", "gen.ckpt",
+               "--image", "data/img_00020.pgm", "--steps", "5", "--out", "frames"]
+    # the target must differ from the predicted class, which is either 0 or not
+    if cli(*explain, "--target", "0").returncode != 0:
+        proc = cli(*explain, "--target", "1")
+        assert proc.returncode == 0, proc.stderr
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_pipeline_byte_identical_across_processes(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "MCFE_SEED"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    a = _cli_pipeline(tmp_path / "a", env)
+    b = _cli_pipeline(tmp_path / "b", env)
+    assert "frames/confidence.csv" in a and "report.csv" in a and "gen.ckpt" in a
+    assert sorted(a) == sorted(b)
+    assert [name for name in a if a[name] != b[name]] == []

@@ -8,6 +8,7 @@ import pytest
 from mirrorcfe.classifier import featurize
 from mirrorcfe.evaluation import (denoised_validity, evaluate_suite, faithfulness,
                                   gaussian_blur, gaussian_kernel)
+from mirrorcfe.training import generate_image
 
 
 def test_kernel_normalized():
@@ -51,7 +52,8 @@ def test_faithfulness_finite(tiny_classifier, tiny_sets, tiny_generator):
     _, test_ds = tiny_sets
     gen, _, _ = tiny_generator
     stack = featurize(clf, test_ds.images[0])
-    fea, conf_l1 = faithfulness(clf, gen, stack.z, stack.f_last)
+    x = generate_image(gen, clf, stack.f_last, stack, 0, 1, 0.0)
+    fea, conf_l1 = faithfulness(clf, stack.z, featurize(clf, x))
     assert np.isfinite(fea) and fea >= 0.0
     assert 0.0 <= conf_l1 <= 1.0
 
@@ -74,3 +76,26 @@ def test_evaluate_suite_report(tiny_classifier, tiny_sets, tiny_generator, tmp_p
     for row in rows:
         assert row["validity"] in ("0", "1")
         float(row["l1"])  # parseable numerics
+
+
+def test_evaluate_suite_decodes_once_per_row(tiny_classifier, tiny_sets, tiny_generator, monkeypatch):
+    from mirrorcfe import evaluation
+
+    clf, _ = tiny_classifier
+    _, test_ds = tiny_sets
+    gen, _, _ = tiny_generator
+    counts = {"featurize": 0, "generate_image": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(evaluation, "featurize", counted("featurize", evaluation.featurize))
+    monkeypatch.setattr(evaluation, "generate_image", counted("generate_image", evaluation.generate_image))
+    pairs = [(s, t) for s in range(4) for t in range(4) if s != t]
+    rows = evaluate_suite(clf, gen, test_ds, pairs).rows
+    assert rows
+    assert counts["generate_image"] == len(rows)
+    assert counts["featurize"] <= len(test_ds) + 2 * len(rows)

@@ -80,12 +80,6 @@ class TestLossRecFeaProx:
         with pytest.raises(ad.ShapeError):
             losses.loss_fea(np.zeros(3), np.zeros(4))
 
-    def test_prox_equals_rec(self):
-        rng = np.random.default_rng(4)
-        a = rng.uniform(0, 1, (1, 8, 8))
-        b = rng.uniform(0, 1, (1, 8, 8))
-        assert losses.loss_prox(a, b).data == losses.loss_rec(a, b).data
-
 
 def _tri_inputs(d_sk, d_ref=1.0, r=2.0):
     """Pixel/latent vectors realizing |x_s - x_k| = d_sk, |x_k - x_ref| = d_ref,

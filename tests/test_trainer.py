@@ -1,13 +1,16 @@
 """Generator/discriminator training loop and batch sampler."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from mirrorcfe import training
 from mirrorcfe.classifier import checkpoint_checksum, featurize
-from mirrorcfe.training import (TrainConfig, _draw_k, generate_image, init_discriminator,
-                                init_generator, load_discriminator, load_generator,
-                                sample_kfe_batch, save_discriminator, save_generator,
-                                train_generator)
+from mirrorcfe.training import (ClassifierMutatedError, TrainConfig, _draw_k,
+                                generate_image, init_discriminator, init_generator,
+                                load_discriminator, load_generator, sample_kfe_batch,
+                                save_discriminator, save_generator, train_generator)
 
 
 def test_config_validation():
@@ -90,7 +93,7 @@ class TestTraining:
         train_ds, _ = tiny_sets
         clf, _ = tiny_classifier
         gen, dis, history = tiny_generator
-        assert checkpoint_checksum(clf)  # classifier survived training (asserted inside too)
+        assert checkpoint_checksum(clf)  # classifier survived training (checked inside too)
         assert len(history) == 2 * (len(train_ds) // 4)
         for row in history:
             for key in ("epoch", "step", "cls", "adv_g", "adv_d", "rec", "fea", "tri", "total"):
@@ -127,11 +130,91 @@ class TestTraining:
         assert any(name.startswith("spe0_") for name in gen.tensors)
         assert np.isfinite(history[-1]["total"])
         stack = featurize(clf, train_ds.images[0])
-        x = generate_image(gen, clf, stack.f_last, source_stack=stack,
-                           source=0, target=1, k=0.5)
+        x = generate_image(gen, clf, stack.f_last, stack, 0, 1, 0.5)
         assert x.shape == train_ds.images[0].shape
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             generate_image(gen, clf, stack.f_last)  # missing the SSC context
+
+
+class _Stop(Exception):
+    pass
+
+
+_SSC_SKIP = training.ssc_skip
+
+
+def _recording_skip(calls, stop=False):
+    """Wrap training.ssc_skip: record each call's arguments and output."""
+
+    def skip(gp, config, clf, f_s_first, f_input, sources, targets, ks):
+        out = _SSC_SKIP(gp, config, clf, f_s_first, f_input, sources, targets, ks)
+        calls.append((f_s_first, f_input.data, list(sources), list(targets), list(ks), out.data))
+        if stop:
+            raise _Stop
+        return out
+
+    return skip
+
+
+class TestSscSkip:
+    def test_training_batch_matches_served_elements(self, tiny_sets, tiny_classifier, monkeypatch):
+        # the skip of the first training batch, element by element, is the skip
+        # generate_image computes for that element with the same weights
+        train_ds, _ = tiny_sets
+        clf, _ = tiny_classifier
+        cfg = TrainConfig(epochs=1, batch_size=8, ssc=True, recon_prob=0.5, seed=3)
+        trained = []
+        monkeypatch.setattr(training, "ssc_skip", _recording_skip(trained, stop=True))
+        with pytest.raises(_Stop):
+            train_generator(clf, train_ds, cfg)
+        f_s_first, f_input, sources, targets, ks, batched = trained[0]
+        kinds = {"recon" if s == t else "kfe" for s, t in zip(sources, targets)}
+        assert kinds == {"kfe", "recon"} and len(set(ks)) >= 3
+
+        gen = init_generator(clf.config, cfg.seed, ssc=True)  # the weights of step 0
+        gen.config.update(rho_lower=cfg.rho_lower, rho_upper=cfg.rho_upper)
+        served = []
+        monkeypatch.setattr(training, "ssc_skip", _recording_skip(served))
+        for i in range(len(ks)):
+            generate_image(gen, clf, f_input[i], SimpleNamespace(features=[f_s_first[i]]),
+                           sources[i], targets[i], ks[i])
+        assert len(served) == len(ks)
+        for i, call in enumerate(served):
+            assert np.array_equal(call[-1], batched[i : i + 1])
+
+    def test_trained_bounds_are_served(self, tiny_sets, tiny_classifier, tmp_path, monkeypatch):
+        train_ds, _ = tiny_sets
+        clf, _ = tiny_classifier
+        cfg = TrainConfig(epochs=1, batch_size=4, ssc=True, rho_lower=0.5, rho_upper=0.7, seed=0)
+        gen, _, _ = train_generator(clf, train_ds, cfg)
+        save_generator(tmp_path / "g.ckpt", gen)
+        back = load_generator(tmp_path / "g.ckpt")
+        assert (back.config["rho_lower"], back.config["rho_upper"]) == (0.5, 0.7)
+        seen = []
+        real_rho = training.camlib.rho
+        monkeypatch.setattr(training.camlib, "rho", lambda k, lo, hi: seen.append((lo, hi)) or real_rho(k, lo, hi))
+        stack = featurize(clf, train_ds.images[0])
+        generate_image(back, clf, stack.f_last, stack, 0, 1, 0.0)
+        assert seen == [(0.5, 0.7)]
+
+    def test_checkpoint_without_bounds_rejected(self, tmp_path):
+        from mirrorcfe.classifier import ClassifierConfig
+
+        gen = init_generator(ClassifierConfig(), seed=0, ssc=True)
+        gen.config["rho_upper"] = 0.8
+        save_generator(tmp_path / "g.ckpt", gen)
+        with pytest.raises(ValueError, match="rho_lower"):
+            load_generator(tmp_path / "g.ckpt")
+
+
+def test_classifier_mutation_raises(tiny_sets, tiny_classifier, monkeypatch):
+    # a raised exception, not an assert, so the check survives python -O
+    train_ds, _ = tiny_sets
+    clf, _ = tiny_classifier
+    checksums = iter(["before", "after"])
+    monkeypatch.setattr(training, "checkpoint_checksum", lambda params: next(checksums))
+    with pytest.raises(ClassifierMutatedError):
+        train_generator(clf, train_ds, TrainConfig(epochs=1, batch_size=4, seed=0))
 
 
 def test_generate_image_range(tiny_sets, tiny_classifier, tiny_generator):
@@ -139,7 +222,7 @@ def test_generate_image_range(tiny_sets, tiny_classifier, tiny_generator):
     clf, _ = tiny_classifier
     gen, _, _ = tiny_generator
     stack = featurize(clf, train_ds.images[0])
-    x = generate_image(gen, clf, stack.f_last)
+    x = generate_image(gen, clf, stack.f_last, stack, 0, 1, 0.0)
     assert x.shape == (1, 16, 16)
     assert np.all(x > 0.0) and np.all(x < 1.0)  # sigmoid output
 
