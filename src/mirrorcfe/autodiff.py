@@ -2,8 +2,11 @@
 
 Everything runs on float64 numpy arrays. The graph is define-by-run: each op
 returns a new Tensor holding its parents and a closure that accumulates
-gradients into them. Non-finite values are treated as an error state and
-raised immediately rather than propagated.
+gradients into them. Only trainable leaves and the nodes that depend on one
+receive a gradient: backward() leaves `.grad` of every other node None and
+computes no gradient for it, so a frozen weight or a constant input costs
+nothing in the backward pass. Non-finite values are treated as an error state
+and raised immediately rather than propagated.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ def _as_array(x) -> np.ndarray:
 
 
 def _check_finite(op: str, out: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NumericOverflowError(f"{op} produced non-finite values")
     return out
 
@@ -43,17 +46,20 @@ def _check_finite(op: str, out: np.ndarray) -> np.ndarray:
 class Tensor:
     """A node in the autodiff graph wrapping a float64 array.
 
-    Leaves are created directly; interior nodes are created by ops. Gradients
-    accumulate in .grad during backward(). `trainable` marks parameter leaves:
-    optimizers update those and only those.
+    Leaves are created directly; interior nodes are created by ops. `trainable`
+    marks parameter leaves: optimizers update those and only those. Gradients
+    accumulate in .grad during backward() on the nodes whose `needs_grad` is
+    set, which is fixed at construction: a trainable leaf, or a node with a
+    parent that needs a gradient. Every other node keeps .grad None.
     """
 
-    __slots__ = ("data", "grad", "trainable", "_parents", "_backward", "op")
+    __slots__ = ("data", "grad", "trainable", "needs_grad", "_parents", "_backward", "op")
 
     def __init__(self, data, trainable: bool = False, _parents=(), _backward=None, op: str = "leaf"):
         self.data = _check_finite(op, _as_array(data))
         self.grad = None
         self.trainable = trainable
+        self.needs_grad = trainable or any(p.needs_grad for p in _parents)
         self._parents = _parents
         self._backward = _backward
         self.op = op
@@ -63,6 +69,8 @@ class Tensor:
         return self.data.shape
 
     def _accum(self, g: np.ndarray) -> None:
+        if not self.needs_grad:
+            return
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += g
@@ -203,8 +211,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data @ b.data, _parents=(a, b), op="matmul")
 
     def bwd(g):
-        a._accum(g @ b.data.T)
-        b._accum(a.data.T @ g)
+        if a.needs_grad:
+            a._accum(g @ b.data.T)
+        if b.needs_grad:
+            b._accum(a.data.T @ g)
 
     out._backward = bwd
     return out
@@ -217,8 +227,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out = Tensor(x.data @ w.data + b.data, _parents=(x, w, b), op="linear")
 
     def bwd(g):
-        x._accum(g @ w.data.T)
-        w._accum(x.data.T @ g)
+        if x.needs_grad:
+            x._accum(g @ w.data.T)
+        if w.needs_grad:
+            w._accum(x.data.T @ g)
         b._accum(g.sum(axis=0))
 
     out._backward = bwd
@@ -229,10 +241,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Zero-padded 'same' patches: (B, H, W, C*kh*kw)."""
+    """Zero-padded 'same' patches: (B, H, W, C*kh*kw), patch axis ordered (C, kh, kw)."""
     b, c, h, w = x.shape
     ph, pw = kh // 2, kw // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    xp = np.zeros((b, c, h + 2 * ph, w + 2 * pw))
+    xp[:, :, ph : ph + h, pw : pw + w] = x
     s = xp.strides
     windows = np.lib.stride_tricks.as_strided(
         xp, shape=(b, c, h, w, kh, kw), strides=(s[0], s[1], s[2], s[3], s[2], s[3])
@@ -241,15 +254,19 @@ def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
 
 
 def _col2im(cols: np.ndarray, shape, kh: int, kw: int) -> np.ndarray:
-    """Adjoint of _im2col: scatter (B, H, W, C*kh*kw) back to (B, C, H, W)."""
+    """Adjoint of _im2col with the patch axis ordered (kh, kw, C): (B, H, W, kh*kw*C) -> (B, C, H, W).
+
+    The scatter runs channel-last, so each tap adds one contiguous slice; the
+    taps are summed in (i, j) order.
+    """
     b, c, h, w = shape
     ph, pw = kh // 2, kw // 2
-    out = np.zeros((b, c, h + 2 * ph, w + 2 * pw))
-    cols = cols.reshape(b, h, w, c, kh, kw)
+    out = np.zeros((b, h + 2 * ph, w + 2 * pw, c))
+    cols = cols.reshape(b, h, w, kh, kw, c)
     for i in range(kh):
         for j in range(kw):
-            out[:, :, i : i + h, j : j + w] += cols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-    return out[:, :, ph : ph + h, pw : pw + w]
+            out[:, i : i + h, j : j + w] += cols[:, :, :, i, j]
+    return out[:, ph : ph + h, pw : pw + w].transpose(0, 3, 1, 2)
 
 
 def conv2d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
@@ -258,19 +275,21 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError("conv2d", x.shape, w.shape)
     if bias.data.shape != (w.shape[0],):
         raise ShapeError("conv2d.bias", bias.shape, w.shape)
-    b, c, h, wd = x.shape
     k, _, kh, kw = w.shape
+    wdata = w.data
     cols = _im2col(x.data, kh, kw)  # (B,H,W,C*kh*kw)
-    wmat = w.data.reshape(k, -1)  # (K, C*kh*kw)
-    y = cols @ wmat.T + bias.data  # (B,H,W,K)
+    y = cols @ wdata.reshape(k, -1).T + bias.data  # (B,H,W,K)
     out = Tensor(y.transpose(0, 3, 1, 2), _parents=(x, w, bias), op="conv2d")
 
     def bwd(g):
         gy = g.transpose(0, 2, 3, 1)  # (B,H,W,K)
-        w._accum((gy.reshape(-1, k).T @ cols.reshape(-1, cols.shape[-1])).reshape(w.data.shape))
-        bias._accum(gy.sum(axis=(0, 1, 2)))
-        gcols = gy @ wmat  # (B,H,W,C*kh*kw)
-        x._accum(_col2im(gcols, x.data.shape, kh, kw))
+        if w.needs_grad:
+            w._accum((gy.reshape(-1, k).T @ cols.reshape(-1, cols.shape[-1])).reshape(wdata.shape))
+        if bias.needs_grad:
+            bias._accum(gy.sum(axis=(0, 1, 2)))
+        if x.needs_grad:
+            gcols = gy @ wdata.transpose(0, 2, 3, 1).reshape(k, -1)  # (B,H,W,kh*kw*C)
+            x._accum(_col2im(gcols, x.data.shape, kh, kw))
 
     out._backward = bwd
     return out
@@ -480,6 +499,9 @@ def gradient_check(loss_fn, leaf: Tensor, eps: float = 1e-5,
     leaf.zero_grad()
     loss = loss_fn()
     loss.backward()
+    if leaf.grad is None:
+        raise ValueError(f"gradient_check: {leaf!r} received no gradient; "
+                         "only trainable leaves and nodes that depend on one get .grad")
     analytic = np.array(leaf.grad, copy=True)
     flat = leaf.data.reshape(-1)
     n = flat.size

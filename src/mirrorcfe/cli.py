@@ -128,6 +128,8 @@ def cmd_train_generator(args) -> None:
 def cmd_explain(args) -> None:
     from .training import generate_image
 
+    if args.steps < 2:
+        raise ValueError(f"explain needs at least 2 steps (k = 0 and k = 1), got {args.steps}")
     clf = load_classifier(args.classifier)
     gen = load_generator(args.generator)
     image = read_pgm(args.image)
@@ -176,9 +178,9 @@ def cmd_evaluate(args) -> None:
         pairs = [tuple(p) for p in pairs_spec]
     report = evaluate_suite(
         clf, gen, test_ds, pairs,
-        steps=args.steps or section.get("steps", 21),
-        blur_size=args.blur_size or section.get("blur_size", 3),
-        blur_sigma=args.blur_sigma or section.get("blur_sigma", 1.0),
+        steps=args.steps if args.steps is not None else section.get("steps", 21),
+        blur_size=args.blur_size if args.blur_size is not None else section.get("blur_size", 3),
+        blur_sigma=args.blur_sigma if args.blur_sigma is not None else section.get("blur_sigma", 1.0),
         max_per_pair=section.get("max_per_pair"),
     )
     report.write_csv(args.out)

@@ -14,9 +14,11 @@ from .training import GeneratorParams, generate_image
 
 
 def gaussian_kernel(size: int = 3, sigma: float = 1.0) -> np.ndarray:
-    """Normalized 2-D Gaussian kernel; size must be odd."""
+    """Normalized 2-D Gaussian kernel; size must be odd and sigma finite and positive."""
     if size % 2 == 0:
         raise ValueError(f"blur kernel size must be odd, got {size}")
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"blur sigma must be finite and positive, got {sigma}")
     r = np.arange(size) - size // 2
     g = np.exp(-(r**2) / (2.0 * sigma**2))
     k = np.outer(g, g)
@@ -89,6 +91,9 @@ def evaluate_suite(clf: ClassifierParams, gen: GeneratorParams, test_set: Labele
     k=1 generation. No-flip samples stay in the report with validity metrics
     from the k=1 point and an empty first_cfe_k.
     """
+    if steps < geometry.FIRST_CFE_MIN_STEPS:
+        raise ValueError(f"evaluate needs at least {geometry.FIRST_CFE_MIN_STEPS} trajectory steps, got {steps}")
+    gaussian_kernel(blur_size, blur_sigma)  # reject a malformed blur before any sample is decoded
     report = EvalReport()
     stacks: dict[int, FeatureStack] = {}  # each test image is featurized once, when first reached
     for s, t in class_pairs:

@@ -16,6 +16,8 @@ import numpy as np
 
 from .classifier import head
 
+FIRST_CFE_MIN_STEPS = 21  # the first-flip scan needs a grid at least this fine
+
 
 class DegenerateMirrorError(ValueError):
     """The two classes have (numerically) identical weight columns."""
@@ -156,8 +158,8 @@ def first_cfe(trajectory: Trajectory, tol: float = 1e-3) -> KfePoint:
     Scans the trajectory grid for the first flip, then bisects between the
     last unflipped and first flipped grid points until |delta k| <= tol.
     """
-    if len(trajectory.points) < 21:
-        raise ValueError("first_cfe needs a trajectory of at least 21 steps")
+    if len(trajectory.points) < FIRST_CFE_MIN_STEPS:
+        raise ValueError(f"first_cfe needs a trajectory of at least {FIRST_CFE_MIN_STEPS} steps")
     t = trajectory.mirror.target
     flip_idx = None
     for i, pt in enumerate(trajectory.points):

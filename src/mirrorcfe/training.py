@@ -284,8 +284,8 @@ def train_generator(clf: ClassifierParams, dataset: LabeledDataset, cfg: TrainCo
             d_term.backward()
             ad.adam_step(dp, d_state)
 
-            # generator step
-            d_fake = discriminator_forward(dp, x_gen)
+            # generator step; the discriminator is a constant here, so it receives no gradient
+            d_fake = discriminator_forward({k: ad.constant(t.data) for k, t in dp.items()}, x_gen)
             g_term, _, clamped = losses.loss_adv(ad.constant(d_real.data), d_fake)
             clf_nodes = forward_graph(cp, clf.config, x_gen)
             l_cls = losses.loss_cls(np.stack([e.p_intended for e in elements]), clf_nodes["probs"])
@@ -326,10 +326,6 @@ def train_generator(clf: ClassifierParams, dataset: LabeledDataset, cfg: TrainCo
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch} step {step}", gen_last, dis_last)
             for t in gp.values():
-                t.zero_grad()
-            for t in dp.values():
-                t.zero_grad()
-            for t in cp.values():
                 t.zero_grad()
             total.backward()
             ad.adam_step(gp, g_state)

@@ -165,6 +165,138 @@ def test_full_classifier_loss_gradient():
     assert ad.gradient_check(loss_fn, x, rng=rng) < 1e-3
 
 
+def _col2im_loop_oracle(cols, shape, kh, kw):
+    # per-pixel scatter of (B, H, W, kh, kw, C) taps onto the unpadded image
+    b, c, h, w = shape
+    taps = cols.reshape(b, h, w, kh, kw, c)
+    out = np.zeros(shape)
+    for n in range(b):
+        for y in range(h):
+            for x in range(w):
+                for i in range(kh):
+                    for j in range(kw):
+                        yy, xx = y + i - kh // 2, x + j - kw // 2
+                        if 0 <= yy < h and 0 <= xx < w:
+                            out[n, :, yy, xx] += taps[n, y, x, i, j]
+    return out
+
+
+def _col2im_cases(rng):
+    fixed = [(1, 1, 3, 5, 3, 3), (2, 3, 4, 2, 1, 1), (1, 2, 5, 3, 1, 3), (2, 1, 2, 6, 3, 1)]
+    drawn = [(int(rng.integers(1, 3)), int(rng.integers(1, 4)), int(rng.integers(1, 7)), int(rng.integers(1, 7)),
+              int(rng.choice([1, 3, 5])), int(rng.choice([1, 3, 5]))) for _ in range(30)]
+    return fixed + drawn  # (B, C, H, W, kh, kw): C=1, 1x1 kernels and non-square images included
+
+
+def test_col2im_matches_loop_oracle():
+    rng = np.random.default_rng(20)
+    for b, c, h, w, kh, kw in _col2im_cases(rng):
+        cols = rng.normal(size=(b, h, w, kh * kw * c))
+        got = ad._col2im(cols, (b, c, h, w), kh, kw)
+        assert got.shape == (b, c, h, w)
+        assert np.max(np.abs(got - _col2im_loop_oracle(cols, (b, c, h, w), kh, kw))) <= 1e-12
+
+
+def test_col2im_is_adjoint_of_im2col():
+    # <im2col(x), c> == <x, col2im(c)>, with c's patch axis reordered from (C, kh, kw) to (kh, kw, C)
+    rng = np.random.default_rng(21)
+    for b, c, h, w, kh, kw in _col2im_cases(rng):
+        x = rng.normal(size=(b, c, h, w))
+        cols = rng.normal(size=(b, h, w, c * kh * kw))
+        taps = cols.reshape(b, h, w, c, kh, kw).transpose(0, 1, 2, 4, 5, 3).reshape(b, h, w, -1)
+        lhs = np.sum(ad._im2col(x, kh, kw) * cols)
+        rhs = np.sum(x * ad._col2im(taps, x.shape, kh, kw))
+        assert abs(lhs - rhs) <= 1e-12
+
+
+class TestGradientRule:
+    @staticmethod
+    def _count_col2im(monkeypatch):
+        calls = []
+        real = ad._col2im
+
+        def counted(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(ad, "_col2im", counted)
+        return calls
+
+    def test_constant_input_and_frozen_weight_get_no_gradient(self, monkeypatch):
+        calls = self._count_col2im(monkeypatch)
+        rng = np.random.default_rng(30)
+        x = ad.constant(rng.normal(size=(2, 3, 5, 4)))
+        w = ad.constant(rng.normal(size=(4, 3, 3, 3)))
+        bias = ad.Tensor(rng.normal(size=(4,)), trainable=True)
+        ad.mean(ad.conv2d(x, w, bias)).backward()
+        assert x.grad is None and w.grad is None and bias.grad is not None
+        assert calls == []
+        x_live = ad.Tensor(x.data, trainable=True)
+        ad.mean(ad.conv2d(x_live, w, bias)).backward()
+        assert w.grad is None and x_live.grad is not None and calls == [x.shape]
+
+    def test_trainable_gradients_match_all_trainable_graph(self):
+        rng = np.random.default_rng(31)
+        data = {"x": rng.normal(size=(2, 2, 4, 4)), "w1": rng.normal(size=(3, 2, 3, 3)),
+                "b1": rng.normal(size=(3,)), "w2": rng.normal(size=(3, 3, 3, 3)), "b2": rng.normal(size=(3,)),
+                "hw": rng.normal(size=(3, 4)), "hb": rng.normal(size=(4,)), "m": rng.normal(size=(2, 4)),
+                "e": rng.normal(size=(4, 4))}
+
+        def grads(trainable):
+            t = {k: ad.Tensor(v.copy(), trainable=trainable(k)) for k, v in data.items()}
+            h = ad.avgpool2(ad.relu(ad.conv2d(t["x"], t["w1"], t["b1"])))
+            h = ad.relu(ad.conv2d(ad.upsample2(h), t["w2"], t["b2"]))
+            logits = ad.add(ad.linear(ad.gap(h), t["hw"], t["hb"]), ad.matmul(t["m"], t["e"]))
+            ad.kld(ad.constant(np.full((2, 4), 0.25)), ad.softmax(logits)).backward()
+            return {k: v.grad for k, v in t.items()}
+
+        frozen = {"x", "w1", "b1", "hw", "e"}
+        some = grads(lambda k: k not in frozen)
+        every = grads(lambda k: True)
+        for k in data:
+            if k in frozen:
+                assert some[k] is None
+            else:
+                assert np.array_equal(some[k], every[k]), k
+
+    def test_train_generator_leaves_classifier_without_gradient(self, monkeypatch):
+        from mirrorcfe import training
+        from mirrorcfe.classifier import ClassifierConfig, init_params
+        from mirrorcfe.dataset import DatasetConfig, generate_dataset
+
+        graphs = []
+        real_forward = training.forward_graph
+
+        def spy(graph_params, config, x):
+            graphs.append(graph_params)
+            return real_forward(graph_params, config, x)
+
+        monkeypatch.setattr(training, "forward_graph", spy)
+        calls = self._count_col2im(monkeypatch)
+        data = generate_dataset(DatasetConfig(per_class=2, seed=0))
+        cfg = training.TrainConfig(epochs=1, batch_size=4, seed=0)
+        training.train_generator(init_params(ClassifierConfig(), seed=0), data, cfg)
+        steps = len(data) // cfg.batch_size
+        assert len(graphs) == steps
+        assert all(t.grad is None for g in graphs for t in g.values())
+        # per step: D step 2 (first conv input constant), G step 2 D + 2 classifier + 2 generator convs
+        assert len(calls) == 8 * steps
+
+    def test_train_classifier_skips_first_conv_input_gradient(self, monkeypatch):
+        from mirrorcfe.classifier import TrainHyper, train_classifier
+        from mirrorcfe.dataset import DatasetConfig, generate_dataset
+
+        calls = self._count_col2im(monkeypatch)
+        data = generate_dataset(DatasetConfig(per_class=2, seed=0))
+        train_classifier(data, None, TrainHyper(epochs=1, batch_size=4, seed=0))
+        assert len(calls) == len(data) // 4  # one per batch: the second conv's input
+
+    def test_gradient_check_rejects_leaf_without_gradient(self):
+        a = ad.constant(np.ones(3))
+        with pytest.raises(ValueError, match=r"Tensor\(shape=\(3,\).*no gradient"):
+            ad.gradient_check(lambda: ad.sum_all(ad.mul(a, a)), a)
+
+
 class TestAdam:
     def test_single_step_bias_corrected_magnitude(self):
         p = ad.Tensor(np.zeros(3), trainable=True)

@@ -178,6 +178,27 @@ def test_error_exit_codes(workdir, tmp_path, capsys):
                  "--out", str(tmp_path / "r.csv")]) == 1
 
 
+@pytest.mark.parametrize("command, flags, word", [
+    ("evaluate", ["--steps", "0"], "steps"),
+    ("evaluate", ["--blur-size", "0"], "size"),
+    ("evaluate", ["--blur-sigma", "0"], "sigma"),
+    ("explain", ["--steps", "0"], "steps"),
+])
+def test_zero_flag_rejected(workdir, tmp_path, capsys, command, flags, word):
+    # a 0 is a value, not "unset": it must be rejected, not replaced by the default
+    models = ["--classifier", str(workdir / "clf.ckpt"), "--generator", str(workdir / "gen.ckpt")]
+    out = tmp_path / "out"
+    if command == "evaluate":
+        argv = ["evaluate", "--data", str(workdir / "data"), *models, "--out", str(out), *flags]
+    else:
+        argv = ["explain", *models, "--image", str(workdir / "data" / "img_00000.pgm"), "--target", "0",
+                "--out", str(out), *flags]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and word in err[0]
+    assert not out.exists()
+
+
 def test_seed_env_override(tmp_path, monkeypatch):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"dataset": {"per_class": 3, "seed": 0, "train_fraction": 0.5}}))

@@ -24,6 +24,12 @@ def test_kernel_even_size_rejected():
         gaussian_kernel(4, 1.0)
 
 
+@pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf")])
+def test_kernel_bad_sigma_rejected(sigma):
+    with pytest.raises(ValueError, match="sigma"):
+        gaussian_kernel(3, sigma)
+
+
 def test_blur_keeps_constants():
     img = np.full((1, 8, 8), 0.37)
     out = gaussian_blur(img)
