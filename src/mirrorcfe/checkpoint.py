@@ -9,6 +9,7 @@ to the start of the payload block), plus the model role and a config echo.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -43,18 +44,30 @@ def save_checkpoint(path: str | Path, role: str, tensors: dict[str, np.ndarray],
 
 
 def load_checkpoint(path: str | Path) -> tuple[str, dict[str, np.ndarray], dict]:
+    """Role, tensors and config of an MCFE1 file; a malformed file raises a ValueError naming it."""
     with open(path, "rb") as f:
         raw = f.read()
     if raw[: len(MAGIC)] != MAGIC:
         raise ValueError(f"{path}: bad magic {raw[:len(MAGIC)]!r}")
-    (mlen,) = struct.unpack("<I", raw[len(MAGIC) : len(MAGIC) + 4])
     mstart = len(MAGIC) + 4
-    manifest = json.loads(raw[mstart : mstart + mlen].decode("utf-8"))
+    if len(raw) < mstart:
+        raise ValueError(f"{path}: truncated header ({len(raw)} bytes)")
+    (mlen,) = struct.unpack_from("<I", raw, len(MAGIC))
     base = mstart + mlen
+    if base > len(raw):
+        raise ValueError(f"{path}: manifest length {mlen} runs past the end of the {len(raw)}-byte file")
+    try:
+        manifest = json.loads(raw[mstart:base].decode("utf-8"))
+        role, entries, config = manifest["role"], manifest["tensors"], manifest.get("config", {})
+        layout = [(e["name"], tuple(int(d) for d in e["shape"]), int(e["offset"])) for e in entries]
+    except (ValueError, KeyError, TypeError, AttributeError) as err:  # ValueError covers bad UTF-8 and JSON
+        raise ValueError(f"{path}: malformed manifest ({type(err).__name__}: {err})") from None
     tensors = {}
-    for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=base + entry["offset"])
-        tensors[entry["name"]] = arr.reshape(shape).astype(np.float64)
-    return manifest["role"], tensors, manifest.get("config", {})
+    for name, shape, offset in layout:
+        count = math.prod(shape)
+        if min(shape, default=0) < 0 or offset < 0 or base + offset + 8 * count > len(raw):
+            raise ValueError(f"{path}: tensor {name!r} of shape {shape} at offset {offset} "
+                             f"runs past the {len(raw) - base}-byte payload")
+        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=base + offset)
+        tensors[name] = arr.reshape(shape).astype(np.float64)
+    return role, tensors, config

@@ -139,23 +139,20 @@ def cmd_explain(args) -> None:
     if target == source:
         raise ValueError(f"target class {target} equals the predicted source class")
     mirror = geometry.make_mirror(clf.head_w, clf.head_b, source, target)
+    points = geometry.sample_trajectory(stack.z, mirror, clf.head_w, clf.head_b, steps=args.steps).points
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    ks = np.linspace(0.0, 1.0, args.steps)
-    for i, k in enumerate(ks):
-        k = float(k)
-        z_k = geometry.position(stack.z, mirror, k)
-        f_k = geometry.kfe_feature(stack.f_last, stack.z, k, mirror)
+    for i, pt in enumerate(points):
+        f_k = geometry.kfe_feature(stack.f_last, stack.z, pt.k, mirror)
         # the CSV describes the 8-bit frame on disk, not the float decode
-        x_k = quantize(generate_image(gen, clf, f_k, stack, source, target, k))
+        x_k = quantize(generate_image(gen, clf, f_k, stack, source, target, pt.k))
         write_pgm(out_dir / f"frame_{i:03}.pgm", x_k)
-        q = geometry.pair_confidence(z_k, mirror)
         pred = featurize(clf, x_k).probs
         rows.append({
-            "k": f"{k:.6f}",
-            "intended_q_source": f"{1.0 - q:.9f}",
-            "intended_q_target": f"{q:.9f}",
+            "k": f"{pt.k:.6f}",
+            "intended_q_source": f"{1.0 - pt.q_pair:.9f}",
+            "intended_q_target": f"{pt.q_pair:.9f}",
             "pred_p_source": f"{pred[source]:.9f}",
             "pred_p_target": f"{pred[target]:.9f}",
             "l1_to_source": f"{float(np.mean(np.abs(x_k - image))):.9f}",
@@ -163,7 +160,7 @@ def cmd_explain(args) -> None:
     write_csv(out_dir / "confidence.csv",
               ["k", "intended_q_source", "intended_q_target", "pred_p_source",
                "pred_p_target", "l1_to_source"], rows)
-    print(f"wrote {len(ks)} frames to {out_dir}")
+    print(f"wrote {len(points)} frames to {out_dir}")
 
 
 def cmd_evaluate(args) -> None:
@@ -176,13 +173,11 @@ def cmd_evaluate(args) -> None:
         pairs = [tuple(int(x) for x in p.split(":")) for p in pairs_spec.split(",")]
     else:
         pairs = [tuple(p) for p in pairs_spec]
-    report = evaluate_suite(
-        clf, gen, test_ds, pairs,
-        steps=args.steps if args.steps is not None else section.get("steps", 21),
-        blur_size=args.blur_size if args.blur_size is not None else section.get("blur_size", 3),
-        blur_sigma=args.blur_sigma if args.blur_sigma is not None else section.get("blur_sigma", 1.0),
-        max_per_pair=section.get("max_per_pair"),
-    )
+    # only the values a flag or the config file sets; the defaults live in evaluate_suite
+    options = {key: section[key] for key in ("steps", "blur_size", "blur_sigma", "max_per_pair") if key in section}
+    options.update((key, getattr(args, key)) for key in ("steps", "blur_size", "blur_sigma")
+                   if getattr(args, key) is not None)
+    report = evaluate_suite(clf, gen, test_ds, pairs, **options)
     report.write_csv(args.out)
     for key, val in report.aggregates.items():
         print(f"{key}: {val}")

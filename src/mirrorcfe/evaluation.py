@@ -96,8 +96,9 @@ def evaluate_suite(clf: ClassifierParams, gen: GeneratorParams, test_set: Labele
     gaussian_kernel(blur_size, blur_sigma)  # reject a malformed blur before any sample is decoded
     report = EvalReport()
     stacks: dict[int, FeatureStack] = {}  # each test image is featurized once, when first reached
-    for s, t in class_pairs:
-        mirror = geometry.make_mirror(clf.head_w, clf.head_b, s, t)
+    mirrors = [geometry.make_mirror(clf.head_w, clf.head_b, s, t) for s, t in class_pairs]  # a bad pair fails first
+    for mirror in mirrors:
+        s, t = mirror.source, mirror.target
         count = 0
         for idx, img in enumerate(test_set.images):
             if idx not in stacks:

@@ -58,6 +58,9 @@ class Mirror:
 
 
 def make_mirror(W: np.ndarray, b: np.ndarray, s: int, t: int) -> Mirror:
+    n = W.shape[1]
+    if not (0 <= s < n and 0 <= t < n):
+        raise ValueError(f"class indices must lie in [0, {n}), got source {s} and target {t}")
     if s == t:
         raise ValueError("source and target classes must differ")
     w_m = W[:, t] - W[:, s]
@@ -71,17 +74,25 @@ def signed_distance(z: np.ndarray, mirror: Mirror) -> float:
     return float((mirror.w @ z + mirror.b) / np.linalg.norm(mirror.w))
 
 
-def position(z_s: np.ndarray, mirror: Mirror, k: float) -> np.ndarray:
-    """Travel z_s along the unit mirror normal: z_k = z_s - 2k d(z_s) w_hat.
+def _displacement(z_s: np.ndarray, mirror: Mirror, k: float, z_r_prime: np.ndarray | None) -> np.ndarray:
+    """Travel of step k: -2k d(z_s) w_hat toward the binary reflection (d is the signed
+    distance), or k (z_r_prime - z_s) toward a given multiclass reflection."""
+    if z_r_prime is None:
+        return -2.0 * k * signed_distance(z_s, mirror) * mirror.unit
+    return k * (z_r_prime - z_s)
 
-    d is the signed distance to the boundary, so k=0.5 lands exactly on the
-    hyperplane (the projection) and k=1 gives the geometric reflection.
+
+def position(z_s: np.ndarray, mirror: Mirror, k: float, z_r_prime: np.ndarray | None = None) -> np.ndarray:
+    """Travel z_s k of the way to its reflection: z_k = z_s + `_displacement`.
+
+    On the binary path k=0.5 lands exactly on the hyperplane (the projection)
+    and k=1 gives the geometric reflection.
     """
     if not (0.0 <= k <= 1.0):
         raise ValueError(f"step factor k={k} outside [0, 1]")
     if k == 0.0:
         return z_s.copy()
-    return z_s - 2.0 * k * signed_distance(z_s, mirror) * mirror.unit
+    return z_s + _displacement(z_s, mirror, k, z_r_prime)
 
 
 def pair_confidence(z: np.ndarray, mirror: Mirror) -> float:
@@ -119,7 +130,6 @@ class Trajectory:
     mirror: Mirror
     W: np.ndarray
     b: np.ndarray
-    mode: str  # "binary" | "multiclass"
     z_r_prime: np.ndarray | None = None
     steps: int = 21
     points: tuple[KfePoint, ...] = field(init=False)
@@ -129,9 +139,7 @@ class Trajectory:
         object.__setattr__(self, "points", tuple(self.point_at(float(k)) for k in ks))
 
     def latent_at(self, k: float) -> np.ndarray:
-        if self.mode == "binary":
-            return position(self.z_s, self.mirror, k)
-        return self.z_s + k * (self.z_r_prime - self.z_s)
+        return position(self.z_s, self.mirror, k, self.z_r_prime)
 
     def point_at(self, k: float) -> KfePoint:
         z = self.latent_at(k)
@@ -140,16 +148,11 @@ class Trajectory:
 
 
 def sample_trajectory(z_s: np.ndarray, mirror: Mirror, W: np.ndarray, b: np.ndarray,
-                      steps: int = 21, mode: str = "binary",
-                      z_r_prime: np.ndarray | None = None) -> Trajectory:
-    """Uniform k-grid of KfePoints from z_s (k=0) to the reflection (k=1)."""
+                      steps: int = 21, z_r_prime: np.ndarray | None = None) -> Trajectory:
+    """Uniform k-grid of KfePoints from z_s (k=0) to the reflection (k=1), z_r_prime if given."""
     if steps < 2:
         raise ValueError(f"need at least 2 steps, got {steps}")
-    if mode not in ("binary", "multiclass"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "multiclass" and z_r_prime is None:
-        raise ValueError("multiclass mode requires a converged z_r_prime")
-    return Trajectory(z_s=z_s, mirror=mirror, W=W, b=b, mode=mode, z_r_prime=z_r_prime, steps=steps)
+    return Trajectory(z_s=z_s, mirror=mirror, W=W, b=b, z_r_prime=z_r_prime, steps=steps)
 
 
 def first_cfe(trajectory: Trajectory, tol: float = 1e-3) -> KfePoint:
@@ -288,7 +291,7 @@ def multiclass_reflection(z_s: np.ndarray, mirror: Mirror, W: np.ndarray, b: np.
 
 
 def kfe_feature(f_s_last: np.ndarray, z_s: np.ndarray, k: float, mirror: Mirror,
-                mode: str = "binary", z_r_prime: np.ndarray | None = None) -> np.ndarray:
+                z_r_prime: np.ndarray | None = None) -> np.ndarray:
     """Shift the last-layer feature map so its GAP lands on the k-step latent.
 
     Every spatial cell takes the same travel: f_k = f_s + z_delta broadcast
@@ -298,12 +301,4 @@ def kfe_feature(f_s_last: np.ndarray, z_s: np.ndarray, k: float, mirror: Mirror,
     if np.max(np.abs(gap - z_s)) > 1e-9:
         raise ValueError("GAP(f_s_last) does not match z_s (max deviation "
                          f"{np.max(np.abs(gap - z_s)):.3e})")
-    if mode == "binary":
-        z_delta = -2.0 * k * signed_distance(z_s, mirror) * mirror.unit
-    elif mode == "multiclass":
-        if z_r_prime is None:
-            raise ValueError("multiclass kfe_feature requires z_r_prime")
-        z_delta = k * (z_r_prime - z_s)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return f_s_last + z_delta[:, None, None]
+    return f_s_last + _displacement(z_s, mirror, k, z_r_prime)[:, None, None]

@@ -50,15 +50,22 @@ def read_pgm(path: str | Path) -> np.ndarray:
             while pos < len(raw) and raw[pos] != 0x0A:
                 pos += 1
             continue
+        if pos == len(raw):
+            break
         start = pos
         while pos < len(raw) and not raw[pos : pos + 1].isspace():
             pos += 1
         fields.append(raw[start:pos])
-    if fields[0] != b"P5":
-        raise ValueError(f"{path}: not a binary PGM (magic {fields[0]!r})")
+    magic = fields[0] if fields else b""
+    if magic != b"P5":
+        raise ValueError(f"{path}: not a binary PGM (magic {magic!r})")
+    if len(fields) < 4 or not all(f.isdigit() for f in fields[1:]):
+        raise ValueError(f"{path}: PGM header needs width, height and maxval as integers, got {fields[1:]!r}")
     w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
     if maxval != 255:
         raise ValueError(f"{path}: unsupported maxval {maxval}")
     pos += 1  # single whitespace after maxval
+    if len(raw) - pos < w * h:
+        raise ValueError(f"{path}: {w}x{h} image needs {w * h} payload bytes, file has {max(len(raw) - pos, 0)}")
     pixels = np.frombuffer(raw, dtype=np.uint8, count=w * h, offset=pos)
     return _from_bytes(pixels.reshape(h, w))

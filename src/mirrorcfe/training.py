@@ -65,8 +65,12 @@ class TrainConfig:
 @dataclass
 class GeneratorParams:
     tensors: dict[str, np.ndarray]
-    ssc: bool
     config: dict = field(default_factory=dict)
+
+    @property
+    def ssc(self) -> bool:
+        """An SSC generator is one with skip-fusion weights."""
+        return "g_fuse_w" in self.tensors
 
 
 @dataclass
@@ -102,8 +106,7 @@ def init_generator(clf_cfg, seed: int, ssc: bool, width: int = 32) -> GeneratorP
         tensors["g_fuse_w"] = conv(mid, mid + skip_c)
         tensors["g_fuse_b"] = np.zeros(mid)
         tensors.update(camlib.init_spe_params(_spe_shape(clf_cfg), rng, "spe0"))
-    return GeneratorParams(tensors=tensors, ssc=ssc,
-                           config={"in_channels": clf_cfg.in_channels, "width": mid})
+    return GeneratorParams(tensors=tensors, config={"in_channels": clf_cfg.in_channels, "width": mid})
 
 
 def init_discriminator(clf_cfg, seed: int) -> DiscriminatorParams:
@@ -140,15 +143,16 @@ def ssc_skip(gp: dict[str, ad.Tensor], config: dict, clf: ClassifierParams, f_s_
     return camlib.csp_mix(f_s, u, np.stack(masks))
 
 
-def generator_forward(gp: dict[str, ad.Tensor], f_input: ad.Tensor,
-                      skip: ad.Tensor | None = None) -> ad.Tensor:
+def generator_forward(gp: dict[str, ad.Tensor], config: dict, clf: ClassifierParams, f_s_first: np.ndarray,
+                      f_input: ad.Tensor, sources, targets, ks) -> ad.Tensor:
     """Decode (B, C_l, H_l, W_l) features to (B, C, H, W) images in (0, 1).
 
-    `skip` is the `ssc_skip` feature at the first tapped layer; None runs the
-    plain encoder-decoder path.
+    An SSC generator (one with `g_fuse_w`) fuses at its first layer the
+    `ssc_skip` of this context; a plain generator ignores the context.
     """
     h = ad.relu(ad.conv2d(ad.upsample2(f_input), gp["g_conv1_w"], gp["g_conv1_b"]))
-    if skip is not None:
+    if "g_fuse_w" in gp:
+        skip = ssc_skip(gp, config, clf, f_s_first, f_input, sources, targets, ks)
         h = ad.relu(ad.conv2d(ad.concat_channels(h, skip), gp["g_fuse_w"], gp["g_fuse_b"]))
     h = ad.relu(ad.conv2d(ad.upsample2(h), gp["g_conv2_w"], gp["g_conv2_b"]))
     return ad.sigmoid(ad.conv2d(h, gp["g_out_w"], gp["g_out_b"]))
@@ -260,18 +264,15 @@ def train_generator(clf: ClassifierParams, dataset: LabeledDataset, cfg: TrainCo
     history: list[dict] = []
     n = len(dataset)
     steps_per_epoch = max(1, n // cfg.batch_size)
-    last_good = (_snapshot_gen(gp, cfg, gen0), _snapshot_dis(dp))
+    last_good = (_snapshot_gen(gp, gen0), _snapshot_dis(dp))
 
     for epoch in range(cfg.epochs):
         for step in range(steps_per_epoch):
             elements = sample_kfe_batch(dataset, clf, stacks, cfg.batch_size, rng, cfg)
             f_input = ad.constant(np.stack([e.f_input for e in elements]))
-            skip = None
-            if cfg.ssc:
-                skip = ssc_skip(gp, gen0.config, clf, np.stack([e.f_s_stack[0] for e in elements]), f_input,
-                                [e.source for e in elements], [e.target for e in elements],
-                                [0.0 if e.k is None else e.k for e in elements])
-            x_gen = generator_forward(gp, f_input, skip=skip)
+            x_gen = generator_forward(gp, gen0.config, clf, np.stack([e.f_s_stack[0] for e in elements]), f_input,
+                                      [e.source for e in elements], [e.target for e in elements],
+                                      [0.0 if e.k is None else e.k for e in elements])
 
             # discriminator step on detached fakes
             real_idx = rng.integers(n, size=cfg.batch_size)
@@ -337,18 +338,17 @@ def train_generator(clf: ClassifierParams, dataset: LabeledDataset, cfg: TrainCo
                 "fea": float(l_fea.data), "tri": float(l_tri.data),
                 "total": float(total.data), "clamped": clamped,
             })
-        last_good = (_snapshot_gen(gp, cfg, gen0), _snapshot_dis(dp))
+        last_good = (_snapshot_gen(gp, gen0), _snapshot_dis(dp))
         if log is not None:
             log(history[-1])
 
     if checkpoint_checksum(clf) != checksum_before:
         raise ClassifierMutatedError("classifier weights changed during generator training")
-    return _snapshot_gen(gp, cfg, gen0), _snapshot_dis(dp), history
+    return _snapshot_gen(gp, gen0), _snapshot_dis(dp), history
 
 
-def _snapshot_gen(gp, cfg: TrainConfig, template: GeneratorParams) -> GeneratorParams:
-    return GeneratorParams({k: t.data.copy() for k, t in gp.items()}, ssc=cfg.ssc,
-                           config=dict(template.config))
+def _snapshot_gen(gp, template: GeneratorParams) -> GeneratorParams:
+    return GeneratorParams({k: t.data.copy() for k, t in gp.items()}, config=dict(template.config))
 
 
 def _snapshot_dis(dp) -> DiscriminatorParams:
@@ -366,11 +366,8 @@ def generate_image(gen: GeneratorParams, clf: ClassifierParams, f_input: np.ndar
     the step factor k; a plain generator ignores it.
     """
     gp = {name: ad.constant(v) for name, v in gen.tensors.items()}
-    f = ad.constant(f_input[None])
-    skip = None
-    if gen.ssc:
-        skip = ssc_skip(gp, gen.config, clf, source_stack.features[0][None], f, [source], [target], [k])
-    return generator_forward(gp, f, skip=skip).data[0]
+    return generator_forward(gp, gen.config, clf, source_stack.features[0][None], ad.constant(f_input[None]),
+                             [source], [target], [k]).data[0]
 
 
 def save_generator(path, gen: GeneratorParams) -> None:
@@ -382,9 +379,13 @@ def load_generator(path) -> GeneratorParams:
     if role != "generator":
         raise ValueError(f"{path}: expected a generator checkpoint, got role {role!r}")
     ssc = bool(cfg.pop("ssc", False))
+    gen = GeneratorParams(tensors, config=cfg)
+    if ssc != gen.ssc:
+        raise ValueError(f"{path}: manifest says ssc={ssc}, but the tensors are "
+                         f"those of {'an SSC' if gen.ssc else 'a plain'} generator")
     if ssc and not {"rho_lower", "rho_upper"} <= set(cfg):
         raise ValueError(f"{path}: SSC generator checkpoint lacks its rho_lower/rho_upper CAM bounds")
-    return GeneratorParams(tensors, ssc=ssc, config=cfg)
+    return gen
 
 
 def save_discriminator(path, dis: DiscriminatorParams) -> None:

@@ -199,6 +199,36 @@ def test_zero_flag_rejected(workdir, tmp_path, capsys, command, flags, word):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("explain", ["--target", "-1"]),
+    ("explain", ["--target", "7"]),
+    ("evaluate", ["--pairs", "0:-1"]),
+    ("evaluate", ["--pairs", "0:9"]),
+])
+def test_class_index_out_of_range(workdir, tmp_path, capsys, command, flags):
+    # -1 used to explain toward the last class, 7 to leak an IndexError
+    models = ["--classifier", str(workdir / "clf.ckpt"), "--generator", str(workdir / "gen.ckpt")]
+    out = tmp_path / "out"
+    if command == "evaluate":
+        argv = ["evaluate", "--data", str(workdir / "data"), *models, "--out", str(out), *flags]
+    else:
+        argv = ["explain", *models, "--image", str(workdir / "data" / "img_00000.pgm"), "--out", str(out), *flags]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ValueError:") and "[0, 4)" in err[0]
+    assert not out.exists()
+
+
+def test_truncated_checkpoint_one_error_line(workdir, tmp_path, capsys):
+    bad = tmp_path / "gen.ckpt"
+    bad.write_bytes((workdir / "gen.ckpt").read_bytes()[:-8])
+    assert main(["explain", "--classifier", str(workdir / "clf.ckpt"), "--generator", str(bad),
+                 "--image", str(workdir / "data" / "img_00000.pgm"), "--target", "0",
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ValueError:") and str(bad) in err[0]
+
+
 def test_seed_env_override(tmp_path, monkeypatch):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"dataset": {"per_class": 3, "seed": 0, "train_fraction": 0.5}}))

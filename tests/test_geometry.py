@@ -23,6 +23,12 @@ class TestMirror:
         with pytest.raises(ValueError):
             geo.make_mirror(np.eye(2), np.zeros(2), 1, 1)
 
+    @pytest.mark.parametrize("s, t", [(0, -1), (-1, 0), (0, 2), (2, 1)])
+    def test_class_index_out_of_range_rejected(self, s, t):
+        # a negative index would otherwise silently pick a class from the end
+        with pytest.raises(ValueError, match=r"\[0, 2\)"):
+            geo.make_mirror(np.eye(2), np.zeros(2), s, t)
+
     def test_identical_columns_degenerate(self):
         W = np.ones((3, 2))
         with pytest.raises(geo.DegenerateMirrorError):
@@ -123,8 +129,26 @@ class TestTrajectoryAndFirstCfe:
         z_s = np.array([2.0, 0.4])
         m = geo.make_mirror(W, b, 0, 1)
         z_r, _ = geo.multiclass_reflection(z_s, m, W, b)
-        traj = geo.sample_trajectory(z_s, m, W, b, steps=21, mode="multiclass", z_r_prime=z_r)
+        traj = geo.sample_trajectory(z_s, m, W, b, steps=21, z_r_prime=z_r)
         assert np.allclose(traj.latent_at(0.5), 0.5 * (z_s + z_r), atol=1e-12)
+        assert np.allclose(traj.points[-1].z, z_r, atol=1e-12)
+        assert np.array_equal(traj.latent_at(0.25), geo.position(z_s, m, 0.25, z_r))
+
+    def test_position_is_the_closed_form_step(self):
+        # z_s plus the negated travel is bit for bit z_s - 2k d w_hat
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            z = rng.normal(size=8) * 10.0 ** rng.integers(-3, 4)
+            m = _mirror(rng.normal(size=8), rng.normal())
+            k = float(rng.uniform())
+            assert np.array_equal(geo.position(z, m, k), z - 2.0 * k * geo.signed_distance(z, m) * m.unit)
+
+    def test_position_with_z_r_prime_interpolates(self):
+        rng = np.random.default_rng(7)
+        z, z_r = rng.normal(size=8), rng.normal(size=8)
+        m = _mirror(rng.normal(size=8), 0.0)
+        assert np.allclose(geo.position(z, m, 0.5, z_r), 0.5 * (z + z_r), atol=1e-12)
+        assert np.array_equal(geo.position(z, m, 1.0, z_r), z + (z_r - z))
 
 
 class TestLbfgs:
@@ -226,10 +250,8 @@ class TestKfeFeature:
         z = f.mean(axis=(1, 2))
         z_r = rng.normal(size=8)
         m = _mirror(rng.normal(size=8), 0.0)
-        f_k = geo.kfe_feature(f, z, 0.5, m, mode="multiclass", z_r_prime=z_r)
+        f_k = geo.kfe_feature(f, z, 0.5, m, z_r_prime=z_r)
         assert np.allclose(f_k.mean(axis=(1, 2)), z + 0.5 * (z_r - z), atol=1e-9)
-        with pytest.raises(ValueError):
-            geo.kfe_feature(f, z, 0.5, m, mode="multiclass")
 
     def test_gap_mismatch_rejected(self):
         f = np.ones((2, 2, 2))

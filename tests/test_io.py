@@ -1,5 +1,7 @@
 """PGM image files and the binary checkpoint container."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -64,3 +66,41 @@ def test_checkpoint_rejects_bad_role_and_magic(tmp_path):
     bad.write_bytes(b"NOPE1" + b"\x00" * 16)
     with pytest.raises(ValueError):
         load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("payload, word", [
+    (b"P5\n2 2\n255\n\x00\x00\x00", "payload"),  # 3 of 4 pixels
+    (b"P5\n2 2\n", "integers"),  # maxval missing
+    (b"P5\n2 x\n255\n\x00\x00", "integers"),
+    (b"P5\n2 -2\n255\n\x00\x00", "integers"),
+], ids=["short-payload", "missing-maxval", "non-integer", "negative"])
+def test_pgm_rejects_malformed(tmp_path, payload, word):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(payload)
+    with pytest.raises(ValueError, match=word) as info:
+        read_pgm(path)
+    assert str(path) in str(info.value)
+
+
+def _checkpoint_bytes(tmp_path) -> bytes:
+    save_checkpoint(tmp_path / "good.ckpt", "generator", {"w": np.ones(2)})  # payload bytes hold 0xf0
+    return (tmp_path / "good.ckpt").read_bytes()
+
+
+def _with_manifest_length(raw: bytes, delta: int) -> bytes:
+    (mlen,) = struct.unpack_from("<I", raw, 5)
+    return raw[:5] + struct.pack("<I", mlen + delta) + raw[9:]
+
+
+@pytest.mark.parametrize("corrupt, word", [
+    (lambda raw: raw[:-8], "payload"),  # truncated payload
+    (lambda raw: raw[:7], "header"),  # 7-byte file
+    (lambda raw: _with_manifest_length(raw, 8), "manifest"),  # manifest runs into the payload
+    (lambda raw: raw[:9] + raw[9:].replace(b'"role"', b'"r\xffle"', 1), "manifest"),  # not UTF-8
+], ids=["truncated-payload", "7-byte-file", "manifest-length", "non-utf8-manifest"])
+def test_checkpoint_rejects_malformed(tmp_path, corrupt, word):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(corrupt(_checkpoint_bytes(tmp_path)))
+    with pytest.raises(ValueError, match=word) as info:
+        load_checkpoint(path)
+    assert type(info.value) is ValueError and str(path) in str(info.value)

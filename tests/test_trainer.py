@@ -206,6 +206,19 @@ class TestSscSkip:
         with pytest.raises(ValueError, match="rho_lower"):
             load_generator(tmp_path / "g.ckpt")
 
+    @pytest.mark.parametrize("ssc", [True, False])
+    def test_manifest_ssc_must_match_tensors(self, tmp_path, ssc):
+        # the weights decide the architecture; a manifest that disagrees is rejected on load
+        from mirrorcfe.checkpoint import save_checkpoint
+        from mirrorcfe.classifier import ClassifierConfig
+
+        gen = init_generator(ClassifierConfig(), seed=0, ssc=ssc)
+        assert gen.ssc == ssc
+        save_checkpoint(tmp_path / "g.ckpt", "generator", gen.tensors,
+                        {**gen.config, "ssc": not ssc, "rho_lower": 0.2, "rho_upper": 0.8})
+        with pytest.raises(ValueError, match=f"ssc={not ssc}"):
+            load_generator(tmp_path / "g.ckpt")
+
 
 def test_classifier_mutation_raises(tiny_sets, tiny_classifier, monkeypatch):
     # a raised exception, not an assert, so the check survives python -O
