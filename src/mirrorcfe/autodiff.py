@@ -100,20 +100,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    # -- convenience operators ------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, op={self.op!r}, trainable={self.trainable})"
 

@@ -71,3 +71,16 @@ def load_checkpoint(path: str | Path) -> tuple[str, dict[str, np.ndarray], dict]
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=base + offset)
         tensors[name] = arr.reshape(shape).astype(np.float64)
     return role, tensors, config
+
+
+def check_tensors(path: str | Path, tensors: dict[str, np.ndarray], expected: dict[str, tuple[int, ...]]) -> None:
+    """Raise a ValueError naming `path` and the first tensor, by name, that is missing, that
+    `expected` lacks, or whose shape differs."""
+    for name in sorted(tensors.keys() | expected.keys()):
+        if name not in tensors:
+            raise ValueError(f"{path}: missing tensor {name!r}")
+        if name not in expected:
+            raise ValueError(f"{path}: unexpected tensor {name!r}")
+        if tensors[name].shape != expected[name]:
+            raise ValueError(f"{path}: tensor {name!r} has shape {tensors[name].shape}, "
+                             f"the config needs {expected[name]}")

@@ -2,7 +2,7 @@
 
 Two conv stages (3x3, ReLU, 2x2 average pooling) followed by global average
 pooling and an affine head. The same graph code backs training and inference,
-so featurize + classify reproduce the training-time forward bit-exactly.
+so featurize reproduces the training-time features bit-exactly.
 Once trained, parameters live in plain numpy arrays and nothing outside
 train_classifier writes to them.
 """
@@ -15,8 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import check_tensors, load_checkpoint, save_checkpoint
 from .dataset import LabeledDataset
+
+FEATURIZE_CHUNK = 64  # images per classifier pass in featurize_batch
 
 
 @dataclass(frozen=True)
@@ -62,17 +64,30 @@ class FeatureStack:
         return self.features[-1]
 
 
-def init_params(config: ClassifierConfig, seed: int) -> ClassifierParams:
-    rng = np.random.default_rng(seed)
-    tensors: dict[str, np.ndarray] = {}
+def tensor_shapes(config: ClassifierConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every classifier tensor, in initialization order."""
+    shapes = {}
     c_in = config.in_channels
     for i, c_out in enumerate(config.stage_channels):
-        fan_in = c_in * config.kernel**2
-        tensors[f"conv{i}_w"] = rng.normal(0.0, np.sqrt(2.0 / fan_in), (c_out, c_in, config.kernel, config.kernel))
-        tensors[f"conv{i}_b"] = np.zeros(c_out)
+        shapes[f"conv{i}_w"] = (c_out, c_in, config.kernel, config.kernel)
+        shapes[f"conv{i}_b"] = (c_out,)
         c_in = c_out
-    tensors["head_w"] = rng.normal(0.0, np.sqrt(1.0 / config.latent_dim), (config.latent_dim, config.num_classes))
-    tensors["head_b"] = np.zeros(config.num_classes)
+    shapes["head_w"] = (config.latent_dim, config.num_classes)
+    shapes["head_b"] = (config.num_classes,)
+    return shapes
+
+
+def init_params(config: ClassifierConfig, seed: int) -> ClassifierParams:
+    """He-normal conv weights, a head drawn with variance 1/latent_dim, zero biases."""
+    rng = np.random.default_rng(seed)
+    tensors: dict[str, np.ndarray] = {}
+    for name, shape in tensor_shapes(config).items():
+        if name.endswith("_b"):
+            tensors[name] = np.zeros(shape)
+        elif name == "head_w":
+            tensors[name] = rng.normal(0.0, np.sqrt(1.0 / config.latent_dim), shape)
+        else:
+            tensors[name] = rng.normal(0.0, np.sqrt(2.0 / (shape[1] * config.kernel**2)), shape)
     return ClassifierParams(config, tensors)
 
 
@@ -80,8 +95,8 @@ def _as_graph_params(params: ClassifierParams, trainable: bool) -> dict[str, ad.
     return {k: ad.Tensor(v.copy() if trainable else v, trainable=trainable) for k, v in params.tensors.items()}
 
 
-def forward_graph(graph_params: dict[str, ad.Tensor], config: ClassifierConfig, x: ad.Tensor) -> dict[str, ad.Tensor]:
-    """Full forward on a (B, C, H, W) batch; returns every intermediate."""
+def encode_graph(graph_params: dict[str, ad.Tensor], config: ClassifierConfig, x: ad.Tensor) -> dict[str, ad.Tensor]:
+    """The conv stages and GAP on a (B, C, H, W) batch: per-stage maps f{i}, f_last and z."""
     out: dict[str, ad.Tensor] = {}
     h = x
     for i in range(len(config.stage_channels)):
@@ -90,25 +105,43 @@ def forward_graph(graph_params: dict[str, ad.Tensor], config: ClassifierConfig, 
         out[f"f{i}"] = h
     out["f_last"] = h
     out["z"] = ad.gap(h)
+    return out
+
+
+def forward_graph(graph_params: dict[str, ad.Tensor], config: ClassifierConfig, x: ad.Tensor) -> dict[str, ad.Tensor]:
+    """Full forward on a (B, C, H, W) batch; returns every intermediate."""
+    out = encode_graph(graph_params, config, x)
     out["logits"] = ad.linear(out["z"], graph_params["head_w"], graph_params["head_b"])
     out["probs"] = ad.softmax(out["logits"])
     return out
 
 
+def featurize_batch(params: ClassifierParams, images) -> list[FeatureStack]:
+    """Run (C, H, W) images through the frozen classifier, FEATURIZE_CHUNK per forward pass.
+
+    The conv stages run on the whole chunk, which is bit-equal to one image at
+    a time. The head runs per row through `head`: a batched `z @ W` (gemm)
+    differs from the one-row product (gemv) in the last bits.
+    """
+    cfg = params.config
+    shape = (cfg.in_channels, cfg.image_size, cfg.image_size)
+    for image in images:
+        if image.shape != shape:
+            raise ad.ShapeError("featurize", image.shape, shape)
+    gp = _as_graph_params(params, trainable=False)
+    stacks = []
+    for start in range(0, len(images), FEATURIZE_CHUNK):
+        nodes = encode_graph(gp, cfg, ad.constant(np.stack(images[start : start + FEATURIZE_CHUNK])))
+        maps = [nodes[f"f{i}"].data for i in range(len(cfg.stage_channels))]
+        for row, z in enumerate(nodes["z"].data):
+            logits, probs = head(params.head_w, params.head_b, z)
+            stacks.append(FeatureStack(features=[m[row] for m in maps], z=z, logits=logits, probs=probs))
+    return stacks
+
+
 def featurize(params: ClassifierParams, image: np.ndarray) -> FeatureStack:
     """Run one (C, H, W) image through the frozen classifier."""
-    cfg = params.config
-    if image.shape != (cfg.in_channels, cfg.image_size, cfg.image_size):
-        raise ad.ShapeError("featurize", image.shape, (cfg.in_channels, cfg.image_size, cfg.image_size))
-    gp = _as_graph_params(params, trainable=False)
-    nodes = forward_graph(gp, cfg, ad.constant(image[None]))
-    features = [nodes[f"f{i}"].data[0] for i in range(len(cfg.stage_channels))]
-    return FeatureStack(
-        features=features,
-        z=nodes["z"].data[0],
-        logits=nodes["logits"].data[0],
-        probs=nodes["probs"].data[0],
-    )
+    return featurize_batch(params, [image])[0]
 
 
 def head(W: np.ndarray, b: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -159,13 +192,18 @@ def load_classifier(path) -> ClassifierParams:
     role, tensors, cfg = load_checkpoint(path)
     if role != "classifier":
         raise ValueError(f"{path}: expected a classifier checkpoint, got role {role!r}")
-    config = ClassifierConfig(
-        image_size=cfg["image_size"],
-        in_channels=cfg["in_channels"],
-        stage_channels=tuple(cfg["stage_channels"]),
-        num_classes=cfg["num_classes"],
-        kernel=cfg["kernel"],
-    )
+    try:
+        config = ClassifierConfig(
+            image_size=cfg["image_size"],
+            in_channels=cfg["in_channels"],
+            stage_channels=tuple(cfg["stage_channels"]),
+            num_classes=cfg["num_classes"],
+            kernel=cfg["kernel"],
+        )
+        expected = tensor_shapes(config)
+    except (KeyError, TypeError, IndexError) as err:
+        raise ValueError(f"{path}: malformed classifier config ({type(err).__name__}: {err})") from None
+    check_tensors(path, tensors, expected)
     return ClassifierParams(config, tensors)
 
 

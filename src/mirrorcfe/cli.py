@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry
-from .classifier import (ClassifierConfig, TrainHyper, featurize, load_classifier,
+from .classifier import (ClassifierConfig, TrainHyper, featurize, featurize_batch, load_classifier,
                          save_classifier, train_classifier)
 from .dataset import DatasetConfig, LabeledDataset, generate_dataset, split
 from .evaluation import evaluate_suite, write_csv
@@ -34,10 +34,17 @@ def load_config(path: str | None) -> dict:
     if path is None:
         return {}
     with open(path) as f:
-        cfg = json.load(f)
+        try:
+            cfg = json.load(f)  # malformed JSON or UTF-8 raises a ValueError already
+        except RecursionError:
+            raise ValueError(f"config {path}: JSON nested too deeply") from None
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config {path}: expected a JSON object of sections, got {type(cfg).__name__}")
     for section, keys in cfg.items():
         if section not in _SCHEMA:
             raise ValueError(f"config: unknown section {section!r}")
+        if not isinstance(keys, dict):
+            raise ValueError(f"config section {section!r}: expected a JSON object, got {type(keys).__name__}")
         unknown = set(keys) - _SCHEMA[section]
         if unknown:
             raise ValueError(f"config section {section!r}: unknown keys {sorted(unknown)}")
@@ -142,19 +149,20 @@ def cmd_explain(args) -> None:
     points = geometry.sample_trajectory(stack.z, mirror, clf.head_w, clf.head_b, steps=args.steps).points
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
+    frames = []
     for i, pt in enumerate(points):
         f_k = geometry.kfe_feature(stack.f_last, stack.z, pt.k, mirror)
         # the CSV describes the 8-bit frame on disk, not the float decode
-        x_k = quantize(generate_image(gen, clf, f_k, stack, source, target, pt.k))
-        write_pgm(out_dir / f"frame_{i:03}.pgm", x_k)
-        pred = featurize(clf, x_k).probs
+        frames.append(quantize(generate_image(gen, clf, f_k, stack, source, target, pt.k)))
+        write_pgm(out_dir / f"frame_{i:03}.pgm", frames[-1])
+    rows = []
+    for pt, x_k, pred in zip(points, frames, featurize_batch(clf, frames)):
         rows.append({
             "k": f"{pt.k:.6f}",
             "intended_q_source": f"{1.0 - pt.q_pair:.9f}",
             "intended_q_target": f"{pt.q_pair:.9f}",
-            "pred_p_source": f"{pred[source]:.9f}",
-            "pred_p_target": f"{pred[target]:.9f}",
+            "pred_p_source": f"{pred.probs[source]:.9f}",
+            "pred_p_target": f"{pred.probs[target]:.9f}",
             "l1_to_source": f"{float(np.mean(np.abs(x_k - image))):.9f}",
         })
     write_csv(out_dir / "confidence.csv",

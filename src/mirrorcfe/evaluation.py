@@ -8,9 +8,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .classifier import ClassifierParams, FeatureStack, classify, featurize
+from .classifier import FEATURIZE_CHUNK, ClassifierParams, FeatureStack, classify, featurize_batch
+from .classifier import featurize  # noqa: F401  (evaluation.featurize stays a binding of the one-image featurize)
 from .dataset import LabeledDataset
-from .training import GeneratorParams, generate_image
+from .training import GeneratorParams, generate_images
 
 
 def gaussian_kernel(size: int = 3, sigma: float = 1.0) -> np.ndarray:
@@ -25,26 +26,26 @@ def gaussian_kernel(size: int = 3, sigma: float = 1.0) -> np.ndarray:
     return k / k.sum()
 
 
-def gaussian_blur(image: np.ndarray, size: int = 3, sigma: float = 1.0) -> np.ndarray:
-    """Blur a (C, H, W) image with edge-replicate padding (constants unchanged)."""
+def gaussian_blur(images: np.ndarray, size: int = 3, sigma: float = 1.0) -> np.ndarray:
+    """Blur the last two axes of a (C, H, W) image, or of a stack of them, with
+    edge-replicate padding (constants unchanged)."""
     kern = gaussian_kernel(size, sigma)
     pad = size // 2
-    out = np.empty_like(image)
-    for c in range(image.shape[0]):
-        xp = np.pad(image[c], pad, mode="edge")
-        acc = np.zeros_like(image[c])
-        for i in range(size):
-            for j in range(size):
-                acc += kern[i, j] * xp[i : i + image.shape[1], j : j + image.shape[2]]
-        out[c] = acc
+    h, w = images.shape[-2:]
+    xp = np.pad(images, [(0, 0)] * (images.ndim - 2) + [(pad, pad), (pad, pad)], mode="edge")
+    out = np.zeros_like(images)
+    for i in range(size):
+        for j in range(size):
+            out += kern[i, j] * xp[..., i : i + h, j : j + w]
     return out
 
 
-def denoised_validity(clf: ClassifierParams, x_cf: np.ndarray, target: int,
-                      size: int = 3, sigma: float = 1.0) -> bool:
-    """Re-classify after Gaussian blur; True if the argmax is still the target."""
-    blurred = np.clip(gaussian_blur(x_cf, size, sigma), 0.0, 1.0)
-    return int(np.argmax(featurize(clf, blurred).probs)) == target
+def denoised_validity(clf: ClassifierParams, x_cfs, target: int,
+                      size: int = 3, sigma: float = 1.0) -> list[bool]:
+    """Re-classify each of a non-empty sequence of images after Gaussian blur;
+    True where the argmax is still the target."""
+    blurred = np.clip(gaussian_blur(np.stack(x_cfs), size, sigma), 0.0, 1.0)
+    return [int(np.argmax(stack.probs)) == target for stack in featurize_batch(clf, blurred)]
 
 
 def faithfulness(clf: ClassifierParams, z_k: np.ndarray, stack: FeatureStack) -> tuple[float, float]:
@@ -90,43 +91,50 @@ def evaluate_suite(clf: ClassifierParams, gen: GeneratorParams, test_set: Labele
     pair's source go through the trajectory, the first-CFE search, and the
     k=1 generation. No-flip samples stay in the report with validity metrics
     from the k=1 point and an empty first_cfe_k.
+
+    The test split is featurized in chunks as the scan reaches them, so a
+    capped pair featurizes nothing past the chunk holding its last row. Each
+    pair's k=1 decodes and the classifier passes over its decoded and blurred
+    counterfactuals run in chunks too; every row is bit-equal to its
+    one-at-a-time computation.
     """
     if steps < geometry.FIRST_CFE_MIN_STEPS:
         raise ValueError(f"evaluate needs at least {geometry.FIRST_CFE_MIN_STEPS} trajectory steps, got {steps}")
     gaussian_kernel(blur_size, blur_sigma)  # reject a malformed blur before any sample is decoded
     report = EvalReport()
-    stacks: dict[int, FeatureStack] = {}  # each test image is featurized once, when first reached
+    stacks: list[FeatureStack] = []  # the test split, featurized a chunk at a time when the scan reaches it
     mirrors = [geometry.make_mirror(clf.head_w, clf.head_b, s, t) for s, t in class_pairs]  # a bad pair fails first
     for mirror in mirrors:
         s, t = mirror.source, mirror.target
-        count = 0
-        for idx, img in enumerate(test_set.images):
-            if idx not in stacks:
-                stacks[idx] = featurize(clf, img)
-            stack = stacks[idx]
-            if int(np.argmax(stack.probs)) != s:
-                continue
-            if max_per_pair is not None and count >= max_per_pair:
+        picked = []  # (test index, trajectory, first-CFE k) of this pair's rows
+        for idx in range(len(test_set)):
+            if max_per_pair is not None and len(picked) >= max_per_pair:
                 break
-            count += 1
-            traj = geometry.sample_trajectory(stack.z, mirror, clf.head_w, clf.head_b, steps=steps)
+            if idx == len(stacks):
+                stacks += featurize_batch(clf, test_set.images[idx : idx + FEATURIZE_CHUNK])
+            if int(np.argmax(stacks[idx].probs)) != s:
+                continue
+            traj = geometry.sample_trajectory(stacks[idx].z, mirror, clf.head_w, clf.head_b, steps=steps)
             try:
-                first = geometry.first_cfe(traj)
-                first_k = first.k
+                first_k = geometry.first_cfe(traj).k
             except geometry.NoFlipError:
                 first_k = None
-            f_k1 = geometry.kfe_feature(stack.f_last, stack.z, 1.0, mirror)
-            x_cf = generate_image(gen, clf, f_k1, stack, s, t, 1.0)
-            cf_stack = featurize(clf, x_cf)
-            valid = int(np.argmax(cf_stack.probs)) == t
-            l1 = float(np.mean(np.abs(x_cf - img)))
-            d_valid = denoised_validity(clf, x_cf, t, blur_size, blur_sigma)
-            z_k1 = traj.latent_at(1.0)
-            fea, conf_l1 = faithfulness(clf, z_k1, cf_stack)
+            picked.append((idx, traj, first_k))
+        if not picked:
+            continue
+        source_stacks = [stacks[idx] for idx, _, _ in picked]
+        f_k1 = [geometry.kfe_feature(st.f_last, st.z, 1.0, mirror) for st in source_stacks]
+        n = len(picked)
+        x_cfs = generate_images(gen, clf, f_k1, source_stacks, [s] * n, [t] * n, [1.0] * n)
+        cf_stacks = featurize_batch(clf, x_cfs)
+        d_valid = denoised_validity(clf, x_cfs, t, blur_size, blur_sigma)
+        for (idx, traj, first_k), x_cf, cf_stack, d_ok in zip(picked, x_cfs, cf_stacks, d_valid):
+            fea, conf_l1 = faithfulness(clf, traj.latent_at(1.0), cf_stack)
             report.rows.append({
                 "sample": idx, "source": s, "target": t,
                 "first_cfe_k": "" if first_k is None else f"{first_k:.6f}",
-                "validity": int(valid), "l1": l1, "d_validity": int(d_valid),
+                "validity": int(np.argmax(cf_stack.probs) == t),
+                "l1": float(np.mean(np.abs(x_cf - test_set.images[idx]))), "d_validity": int(d_ok),
                 "fea_dist": fea, "conf_l1": conf_l1,
             })
     rows = report.rows

@@ -74,25 +74,33 @@ def signed_distance(z: np.ndarray, mirror: Mirror) -> float:
     return float((mirror.w @ z + mirror.b) / np.linalg.norm(mirror.w))
 
 
-def _displacement(z_s: np.ndarray, mirror: Mirror, k: float, z_r_prime: np.ndarray | None) -> np.ndarray:
-    """Travel of step k: -2k d(z_s) w_hat toward the binary reflection (d is the signed
-    distance), or k (z_r_prime - z_s) toward a given multiclass reflection."""
-    if z_r_prime is None:
-        return -2.0 * k * signed_distance(z_s, mirror) * mirror.unit
-    return k * (z_r_prime - z_s)
+def _travel(z_s: np.ndarray, mirror: Mirror, z_r_prime: np.ndarray | None) -> tuple[float, np.ndarray]:
+    """The k-step as (scale, direction): step k displaces z_s by (scale * k) * direction.
 
-
-def position(z_s: np.ndarray, mirror: Mirror, k: float, z_r_prime: np.ndarray | None = None) -> np.ndarray:
-    """Travel z_s k of the way to its reflection: z_k = z_s + `_displacement`.
-
-    On the binary path k=0.5 lands exactly on the hyperplane (the projection)
-    and k=1 gives the geometric reflection.
+    Toward the binary reflection the scale is -2 d(z_s), d the signed
+    distance, and the direction is w_hat; toward a given multiclass reflection
+    they are 1 and z_r_prime - z_s.
     """
+    if z_r_prime is None:
+        return -2.0 * signed_distance(z_s, mirror), mirror.unit
+    return 1.0, z_r_prime - z_s
+
+
+def _step(z_s: np.ndarray, k: float, scale: float, direction: np.ndarray) -> np.ndarray:
     if not (0.0 <= k <= 1.0):
         raise ValueError(f"step factor k={k} outside [0, 1]")
     if k == 0.0:
         return z_s.copy()
-    return z_s + _displacement(z_s, mirror, k, z_r_prime)
+    return z_s + (scale * k) * direction
+
+
+def position(z_s: np.ndarray, mirror: Mirror, k: float, z_r_prime: np.ndarray | None = None) -> np.ndarray:
+    """Travel z_s k of the way to its reflection: z_k = z_s + (scale * k) * direction, see `_travel`.
+
+    On the binary path k=0.5 lands exactly on the hyperplane (the projection)
+    and k=1 gives the geometric reflection.
+    """
+    return _step(z_s, k, *_travel(z_s, mirror, z_r_prime))
 
 
 def pair_confidence(z: np.ndarray, mirror: Mirror) -> float:
@@ -124,7 +132,11 @@ class KfePoint:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """KfePoints on a uniform k-grid of `steps` points from z_s (k=0) to k=1."""
+    """KfePoints on a uniform k-grid of `steps` points from z_s (k=0) to k=1.
+
+    The step's scale and direction are computed once; the grid's latents are
+    one array, each row bit-equal to `position` at its k.
+    """
 
     z_s: np.ndarray
     mirror: Mirror
@@ -133,18 +145,24 @@ class Trajectory:
     z_r_prime: np.ndarray | None = None
     steps: int = 21
     points: tuple[KfePoint, ...] = field(init=False)
+    _scale_direction: tuple[float, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        scale, direction = _travel(self.z_s, self.mirror, self.z_r_prime)
+        object.__setattr__(self, "_scale_direction", (scale, direction))
         ks = np.linspace(0.0, 1.0, self.steps)
-        object.__setattr__(self, "points", tuple(self.point_at(float(k)) for k in ks))
+        grid = self.z_s + (scale * ks)[:, None] * direction
+        grid[0] = self.z_s  # k=0 is a copy of z_s, as in `position`: a zero step would turn -0.0 into 0.0
+        object.__setattr__(self, "points", tuple(self._point(float(k), z) for k, z in zip(ks, grid)))
 
     def latent_at(self, k: float) -> np.ndarray:
-        return position(self.z_s, self.mirror, k, self.z_r_prime)
+        return _step(self.z_s, k, *self._scale_direction)
 
     def point_at(self, k: float) -> KfePoint:
-        z = self.latent_at(k)
-        return KfePoint(k=k, z=z, q_pair=pair_confidence(z, self.mirror),
-                        p_multi=head(self.W, self.b, z)[1])
+        return self._point(k, self.latent_at(k))
+
+    def _point(self, k: float, z: np.ndarray) -> KfePoint:
+        return KfePoint(k=k, z=z, q_pair=pair_confidence(z, self.mirror), p_multi=head(self.W, self.b, z)[1])
 
 
 def sample_trajectory(z_s: np.ndarray, mirror: Mirror, W: np.ndarray, b: np.ndarray,
@@ -301,4 +319,5 @@ def kfe_feature(f_s_last: np.ndarray, z_s: np.ndarray, k: float, mirror: Mirror,
     if np.max(np.abs(gap - z_s)) > 1e-9:
         raise ValueError("GAP(f_s_last) does not match z_s (max deviation "
                          f"{np.max(np.abs(gap - z_s)):.3e})")
-    return f_s_last + _displacement(z_s, mirror, k, z_r_prime)[:, None, None]
+    scale, direction = _travel(z_s, mirror, z_r_prime)
+    return f_s_last + ((scale * k) * direction)[:, None, None]

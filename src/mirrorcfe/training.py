@@ -15,9 +15,13 @@ import numpy as np
 from . import autodiff as ad
 from . import cam as camlib
 from . import geometry, losses
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import check_tensors, load_checkpoint, save_checkpoint
 from .classifier import ClassifierParams, checkpoint_checksum, classify, forward_graph
 from .dataset import LabeledDataset
+
+# Feature maps per generator pass in generate_images. The widest conv's im2col patch matrix takes
+# 590 KB per map: 2 maps stay within a 2 MB L2 cache, and at 8 a chunk decodes slower than one map at a time.
+DECODE_CHUNK = 2
 
 
 class TrainingDivergedError(RuntimeError):
@@ -358,23 +362,57 @@ def _snapshot_dis(dp) -> DiscriminatorParams:
 # -- inference + checkpoint plumbing ------------------------------------------
 
 
-def generate_image(gen: GeneratorParams, clf: ClassifierParams, f_input: np.ndarray,
-                   source_stack, source: int, target: int, k: float) -> np.ndarray:
-    """Decode one (C_l, H_l, W_l) feature map to a (C, H, W) image.
+def generate_images(gen: GeneratorParams, clf: ClassifierParams, f_inputs, source_stacks,
+                    sources, targets, ks) -> list[np.ndarray]:
+    """Decode (C_l, H_l, W_l) feature maps to (C, H, W) images, DECODE_CHUNK per generator pass.
 
-    The SSC context is the source image's FeatureStack, the class pair and
-    the step factor k; a plain generator ignores it.
+    Row i's SSC context is its source image's FeatureStack source_stacks[i],
+    its class pair and its step factor ks[i]; a plain generator ignores it.
+    A chunk decodes bit-equal to its rows one at a time.
     """
     gp = {name: ad.constant(v) for name, v in gen.tensors.items()}
-    return generator_forward(gp, gen.config, clf, source_stack.features[0][None], ad.constant(f_input[None]),
-                             [source], [target], [k]).data[0]
+    images = []
+    for start in range(0, len(f_inputs), DECODE_CHUNK):
+        rows = slice(start, start + DECODE_CHUNK)
+        x = generator_forward(gp, gen.config, clf, np.stack([st.features[0] for st in source_stacks[rows]]),
+                              ad.constant(np.stack(f_inputs[rows])), sources[rows], targets[rows], ks[rows])
+        images.extend(x.data)
+    return images
+
+
+def generate_image(gen: GeneratorParams, clf: ClassifierParams, f_input: np.ndarray,
+                   source_stack, source: int, target: int, k: float) -> np.ndarray:
+    """`generate_images` of one feature map with its SSC context."""
+    return generate_images(gen, clf, [f_input], [source_stack], [source], [target], [k])[0]
 
 
 def save_generator(path, gen: GeneratorParams) -> None:
     save_checkpoint(path, "generator", gen.tensors, {"ssc": gen.ssc, **gen.config})
 
 
+def generator_shapes(in_channels: int, width: int, latent_channels: int,
+                     skip_channels: int | None) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every tensor `init_generator` makes; an SSC generator has skip_channels."""
+    shapes = {
+        "g_conv1_w": (width, latent_channels, 3, 3), "g_conv1_b": (width,),
+        "g_conv2_w": (width, width, 3, 3), "g_conv2_b": (width,),
+        "g_out_w": (in_channels, width, 3, 3), "g_out_b": (in_channels,),
+    }
+    if skip_channels is not None:
+        shapes.update({
+            "g_fuse_w": (width, width + skip_channels, 3, 3), "g_fuse_b": (width,),
+            "spe0_bottleneck_w": (latent_channels, skip_channels, 1, 1), "spe0_bottleneck_b": (latent_channels,),
+            "spe0_decoder_w": (skip_channels, 2 * latent_channels, 1, 1), "spe0_decoder_b": (skip_channels,),
+        })
+    return shapes
+
+
 def load_generator(path) -> GeneratorParams:
+    """A generator checkpoint, its tensors checked against the manifest's in_channels and width.
+
+    The classifier's latent and first-stage channel counts are not in the
+    manifest; they are read off `g_conv1_w` and `spe0_bottleneck_w`.
+    """
     role, tensors, cfg = load_checkpoint(path)
     if role != "generator":
         raise ValueError(f"{path}: expected a generator checkpoint, got role {role!r}")
@@ -385,6 +423,15 @@ def load_generator(path) -> GeneratorParams:
                          f"those of {'an SSC' if gen.ssc else 'a plain'} generator")
     if ssc and not {"rho_lower", "rho_upper"} <= set(cfg):
         raise ValueError(f"{path}: SSC generator checkpoint lacks its rho_lower/rho_upper CAM bounds")
+    if not {"in_channels", "width"} <= set(cfg):
+        raise ValueError(f"{path}: generator checkpoint lacks its in_channels/width config")
+
+    def channels(name):  # axis 1 of a stored 4-d weight; check_tensors reports it when absent or malformed
+        shape = tensors[name].shape if name in tensors else ()
+        return shape[1] if len(shape) == 4 else 0
+
+    check_tensors(path, tensors, generator_shapes(cfg["in_channels"], cfg["width"], channels("g_conv1_w"),
+                                                  channels("spe0_bottleneck_w") if ssc else None))
     return gen
 
 

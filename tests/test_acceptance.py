@@ -220,6 +220,7 @@ def desk():
             "report": report}
 
 
+@pytest.mark.slow
 def test_criterion_6_end_to_end(desk):
     acc = accuracy(desk["clf"], desk["test"])
     agg = desk["report"].aggregates
@@ -251,6 +252,7 @@ def test_criterion_6_end_to_end(desk):
           detail + (f"; failed: {failed}" if failed else ""))
 
 
+@pytest.mark.slow
 def test_criterion_7_tri_ablation(desk):
     results = {}
     for name, overrides in [("w_tri=0", {"w_tri": 0.0}),
@@ -265,6 +267,7 @@ def test_criterion_7_tri_ablation(desk):
           ", ".join(f"{k}: validity {v:.3f}" for k, v in results.items()))
 
 
+@pytest.mark.slow
 def test_criterion_8_determinism(desk, tmp_path):
     # a full repeat of the criterion-6 run must reproduce every artifact byte
     clf2, _ = train_classifier(desk["train"], desk["test"], TrainHyper())

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import mirrorcfe.autodiff as ad
-from mirrorcfe.classifier import (ClassifierConfig, accuracy, checkpoint_checksum,
-                                  classify, featurize, init_params, load_classifier,
+from mirrorcfe.classifier import (FEATURIZE_CHUNK, ClassifierConfig, accuracy, checkpoint_checksum,
+                                  classify, featurize, featurize_batch, init_params, load_classifier,
                                   save_classifier)
 
 
@@ -35,6 +35,26 @@ def test_classify_matches_featurize(random_params):
 def test_featurize_shape_check(random_params):
     with pytest.raises(ad.ShapeError):
         featurize(random_params, np.zeros((1, 8, 8)))
+
+
+def _bits(stack):
+    return [a.tobytes() for a in (*stack.features, stack.z, stack.logits, stack.probs)]
+
+
+@pytest.mark.parametrize("n", [1, FEATURIZE_CHUNK - 1, FEATURIZE_CHUNK, FEATURIZE_CHUNK + 1])
+def test_featurize_batch_is_bit_equal_to_featurize(random_params, n):
+    # every field, chunk boundaries included; a batched head would differ in the last bits
+    rng = np.random.default_rng(n)
+    images = list(rng.uniform(0, 1, (n, 1, 16, 16)))
+    batch = featurize_batch(random_params, images)
+    assert len(batch) == n
+    for image, stack in zip(images, batch):
+        assert _bits(stack) == _bits(featurize(random_params, image))
+
+
+def test_featurize_batch_shape_check(random_params):
+    with pytest.raises(ad.ShapeError):
+        featurize_batch(random_params, [np.zeros((1, 16, 16)), np.zeros((1, 8, 8))])
 
 
 def test_init_deterministic():

@@ -9,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mirrorcfe.classifier import featurize, load_classifier
-from mirrorcfe.cli import main, read_dataset_dir
+from mirrorcfe.cli import _SCHEMA, load_config, main, read_dataset_dir
 from mirrorcfe.pgm import read_pgm
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -227,6 +229,59 @@ def test_truncated_checkpoint_one_error_line(workdir, tmp_path, capsys):
                  "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ValueError:") and str(bad) in err[0]
+
+
+def test_generator_missing_tensor_one_error_line(workdir, tmp_path, capsys):
+    # it used to load, and explain then made its output directory and failed with KeyError: 'g_out_w'
+    from mirrorcfe.checkpoint import load_checkpoint, save_checkpoint
+
+    role, tensors, config = load_checkpoint(workdir / "gen.ckpt")
+    del tensors["g_out_w"]
+    bad = tmp_path / "gen.ckpt"
+    save_checkpoint(bad, role, tensors, config)
+    out = tmp_path / "out"
+    assert main(["explain", "--classifier", str(workdir / "clf.ckpt"), "--generator", str(bad),
+                 "--image", str(workdir / "data" / "img_00000.pgm"), "--target", "0", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ValueError:") and "'g_out_w'" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, word", [
+    ('{"dataset": 5}', "section 'dataset': expected a JSON object, got int"),
+    ("[1]", "expected a JSON object of sections, got list"),
+    ("[" * 100_000, "nested too deeply"),
+], ids=["section-int", "top-level-list", "deep-nesting"])
+def test_config_must_be_objects(tmp_path, capsys, text, word):
+    # TypeError, AttributeError and RecursionError leaked from these before
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=word):
+        load_config(str(path))
+    assert main(["make-dataset", "--config", str(path), "--out", str(tmp_path / "d")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ValueError:")
+    assert not (tmp_path / "d").exists()
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from([*_SCHEMA, "bogus", *sorted(_SCHEMA["eval"])]), inner, max_size=3),
+    max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=st.one_of(st.binary(max_size=48), _JSON.map(lambda v: json.dumps(v).encode())))
+def test_config_fuzz_ends_in_one_value_error_line(tmp_path, raw):
+    path = tmp_path / "fuzz.json"
+    path.write_bytes(raw)
+    try:
+        cfg = load_config(str(path))
+    except ValueError as err:  # JSONDecodeError and UnicodeDecodeError are ValueErrors too
+        assert "\n" not in str(err)
+        return
+    assert all(isinstance(keys, dict) and set(keys) <= _SCHEMA[section] for section, keys in cfg.items())
 
 
 def test_seed_env_override(tmp_path, monkeypatch):

@@ -50,7 +50,7 @@ def test_denoised_validity_smoke(tiny_classifier, tiny_sets):
     _, test_ds = tiny_sets
     img = test_ds.images[0]
     pred = int(np.argmax(featurize(clf, img).probs))
-    assert denoised_validity(clf, img, pred) in (True, False)
+    assert denoised_validity(clf, [img], pred)[0] in (True, False)
 
 
 def test_faithfulness_finite(tiny_classifier, tiny_sets, tiny_generator):
@@ -90,18 +90,68 @@ def test_evaluate_suite_decodes_once_per_row(tiny_classifier, tiny_sets, tiny_ge
     clf, _ = tiny_classifier
     _, test_ds = tiny_sets
     gen, _, _ = tiny_generator
-    counts = {"featurize": 0, "generate_image": 0}
+    counts = {"featurize_batch": 0, "generate_images": 0}
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
+    def counted(name, fn, batch_arg):
+        def wrapper(*args):
+            counts[name] += len(args[batch_arg])
+            return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(evaluation, "featurize", counted("featurize", evaluation.featurize))
-    monkeypatch.setattr(evaluation, "generate_image", counted("generate_image", evaluation.generate_image))
+    monkeypatch.setattr(evaluation, "featurize_batch", counted("featurize_batch", evaluation.featurize_batch, 1))
+    monkeypatch.setattr(evaluation, "generate_images", counted("generate_images", evaluation.generate_images, 2))
     pairs = [(s, t) for s in range(4) for t in range(4) if s != t]
     rows = evaluate_suite(clf, gen, test_ds, pairs).rows
     assert rows
-    assert counts["generate_image"] == len(rows)
-    assert counts["featurize"] <= len(test_ds) + 2 * len(rows)
+    assert counts["generate_images"] == len(rows)  # rows decoded, not calls
+    assert counts["featurize_batch"] <= len(test_ds) + 2 * len(rows)  # images featurized
+
+
+def test_capped_evaluate_featurizes_at_most_one_chunk_past_its_last_row(tiny_classifier, tiny_sets,
+                                                                        tiny_generator, monkeypatch):
+    from mirrorcfe import classifier, evaluation
+
+    clf, _ = tiny_classifier
+    _, test_ds = tiny_sets
+    gen, _, _ = tiny_generator
+    chunk = 4
+    monkeypatch.setattr(classifier, "FEATURIZE_CHUNK", chunk)
+    monkeypatch.setattr(evaluation, "FEATURIZE_CHUNK", chunk)
+    position = {id(img): i for i, img in enumerate(test_ds.images)}
+    read = []  # test-split indices featurized, in call order
+    real = evaluation.featurize_batch
+
+    def recording(params, images):
+        read.extend(position[id(img)] for img in images if id(img) in position)
+        return real(params, images)
+
+    monkeypatch.setattr(evaluation, "featurize_batch", recording)
+    source = int(np.argmax(featurize(clf, test_ds.images[0]).probs))
+    rows = evaluate_suite(clf, gen, test_ds, [(source, (source + 1) % 4)], max_per_pair=3).rows
+    assert len(rows) == 3
+    last = rows[-1]["sample"]
+    assert read == list(range(len(read)))  # each image once, in order
+    assert len(read) <= (last // chunk + 1) * chunk  # up to the end of the last row's chunk
+    assert len(read) < len(test_ds)  # so the cap had something to save
+
+
+def test_blur_of_a_stack_is_the_per_channel_loop():
+    # the loop this vectorized blur replaced, as the reference: same taps, same order, same bits
+    def reference(image, size, sigma):
+        kern, pad = gaussian_kernel(size, sigma), size // 2
+        out = np.empty_like(image)
+        for c in range(image.shape[0]):
+            xp = np.pad(image[c], pad, mode="edge")
+            acc = np.zeros_like(image[c])
+            for i in range(size):
+                for j in range(size):
+                    acc += kern[i, j] * xp[i : i + image.shape[1], j : j + image.shape[2]]
+            out[c] = acc
+        return out
+
+    images = np.random.default_rng(3).uniform(size=(5, 2, 9, 7))
+    for size, sigma in [(3, 1.0), (5, 0.7)]:
+        batch = gaussian_blur(images, size, sigma)
+        for image, blurred in zip(images, batch):
+            assert blurred.tobytes() == reference(image, size, sigma).tobytes()
+            assert gaussian_blur(image, size, sigma).tobytes() == blurred.tobytes()

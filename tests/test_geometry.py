@@ -143,6 +143,27 @@ class TestTrajectoryAndFirstCfe:
             k = float(rng.uniform())
             assert np.array_equal(geo.position(z, m, k), z - 2.0 * k * geo.signed_distance(z, m) * m.unit)
 
+    def test_trajectory_grid_is_bit_equal_to_position_and_head(self):
+        # the one-array grid and the bisection's point_at, against per-k position plus head
+        from mirrorcfe.classifier import head
+
+        rng = np.random.default_rng(8)
+        for case in range(200):
+            n, c = int(rng.integers(2, 20)), int(rng.integers(2, 6))
+            W = rng.normal(size=(n, c)) * 10.0 ** rng.integers(-2, 2)
+            b = rng.normal(size=c)
+            z_s = rng.normal(size=n) * 10.0 ** rng.integers(-3, 2)
+            s, t = (int(i) for i in rng.choice(c, size=2, replace=False))
+            m = geo.make_mirror(W, b, s, t)
+            z_r = rng.normal(size=n) if case % 2 else None
+            traj = geo.sample_trajectory(z_s, m, W, b, steps=int(rng.integers(2, 40)), z_r_prime=z_r)
+            extra = [traj.point_at(float(k)) for k in rng.uniform(size=3)]
+            for pt in (*traj.points, *extra):
+                z = geo.position(z_s, m, pt.k, z_r)
+                assert pt.z.tobytes() == z.tobytes()
+                assert pt.p_multi.tobytes() == head(W, b, z)[1].tobytes()
+                assert pt.q_pair == geo.pair_confidence(z, m)
+
     def test_position_with_z_r_prime_interpolates(self):
         rng = np.random.default_rng(7)
         z, z_r = rng.normal(size=8), rng.normal(size=8)

@@ -104,3 +104,49 @@ def test_checkpoint_rejects_malformed(tmp_path, corrupt, word):
     with pytest.raises(ValueError, match=word) as info:
         load_checkpoint(path)
     assert type(info.value) is ValueError and str(path) in str(info.value)
+
+
+def _resaved(tmp_path, role, tensors, config, edit):
+    # the same checkpoint with its tensors edited, as another writer might have left it
+    path = tmp_path / f"{role}.ckpt"
+    tensors = dict(tensors)
+    edit(tensors)
+    save_checkpoint(path, role, tensors, config)
+    return path
+
+
+@pytest.mark.parametrize("edit, word", [
+    (lambda t: t.update(head_w=t["head_w"][:, :3]), "'head_w' has shape (16, 3)"),  # 3 columns, 4 classes
+    (lambda t: t.pop("conv1_b"), "missing tensor 'conv1_b'"),
+    (lambda t: t.update(extra=np.zeros(2)), "unexpected tensor 'extra'"),
+], ids=["head-columns", "missing", "extra"])
+def test_classifier_tensors_checked_against_config(tmp_path, edit, word):
+    from mirrorcfe.classifier import ClassifierConfig, init_params, load_classifier, save_classifier
+
+    params = init_params(ClassifierConfig(), seed=0)
+    save_classifier(tmp_path / "good.ckpt", params)
+    _, _, config = load_checkpoint(tmp_path / "good.ckpt")
+    path = _resaved(tmp_path, "classifier", params.tensors, config, edit)
+    with pytest.raises(ValueError, match=word.replace("(", r"\(").replace(")", r"\)")) as info:
+        load_classifier(path)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("ssc", [False, True])
+@pytest.mark.parametrize("edit, word", [
+    (lambda t: t.pop("g_out_w"), "missing tensor 'g_out_w'"),
+    (lambda t: t.update(g_conv2_w=t["g_conv2_w"][:8]), "'g_conv2_w' has shape"),  # width 8 of 32
+], ids=["missing-out", "narrow-conv2"])
+def test_generator_tensors_checked_against_config(tmp_path, edit, word, ssc):
+    from mirrorcfe.classifier import ClassifierConfig
+    from mirrorcfe.training import init_generator, load_generator, save_generator
+
+    gen = init_generator(ClassifierConfig(), seed=0, ssc=ssc)
+    gen.config.update(rho_lower=0.2, rho_upper=0.8)
+    save_generator(tmp_path / "good.ckpt", gen)
+    assert load_generator(tmp_path / "good.ckpt").tensors.keys() == gen.tensors.keys()
+    _, _, config = load_checkpoint(tmp_path / "good.ckpt")
+    path = _resaved(tmp_path, "generator", gen.tensors, config, edit)
+    with pytest.raises(ValueError, match=word) as info:
+        load_generator(path)
+    assert str(path) in str(info.value)

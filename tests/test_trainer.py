@@ -7,8 +7,8 @@ import pytest
 
 from mirrorcfe import training
 from mirrorcfe.classifier import checkpoint_checksum, featurize
-from mirrorcfe.training import (ClassifierMutatedError, TrainConfig, _draw_k,
-                                generate_image, init_discriminator, init_generator,
+from mirrorcfe.training import (DECODE_CHUNK, ClassifierMutatedError, TrainConfig, _draw_k,
+                                generate_image, generate_images, init_discriminator, init_generator,
                                 load_discriminator, load_generator, sample_kfe_batch,
                                 save_discriminator, save_generator, train_generator)
 
@@ -249,3 +249,24 @@ def test_init_shapes():
     assert gen.tensors["g_out_w"].shape == (1, 32, 3, 3)
     dis = init_discriminator(cfg, seed=0)
     assert dis.tensors["d_head_w"].shape == (16, 1)
+
+
+@pytest.mark.parametrize("ssc", [False, True])
+def test_generate_images_is_bit_equal_to_generate_image(tiny_sets, tiny_classifier, ssc):
+    # two full chunks and one partial, each row with its own context
+    train_ds, _ = tiny_sets
+    clf, _ = tiny_classifier
+    gen = init_generator(clf.config, seed=0, ssc=ssc)
+    gen.config.update(rho_lower=0.2, rho_upper=0.8)
+    rng = np.random.default_rng(4)
+    n = 2 * DECODE_CHUNK + 1
+    stacks = [featurize(clf, train_ds.images[i]) for i in rng.integers(len(train_ds), size=n)]
+    sources = [int(rng.integers(4)) for _ in range(n)]
+    targets = [(s + int(rng.integers(1, 4))) % 4 for s in sources]
+    ks = [float(k) for k in rng.uniform(size=n)]
+    f_inputs = [st.f_last + rng.normal(0.0, 0.1, st.f_last.shape) for st in stacks]
+    batch = generate_images(gen, clf, f_inputs, stacks, sources, targets, ks)
+    assert len(batch) == n
+    for i, x in enumerate(batch):
+        one = generate_image(gen, clf, f_inputs[i], stacks[i], sources[i], targets[i], ks[i])
+        assert x.tobytes() == one.tobytes()
