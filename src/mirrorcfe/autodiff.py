@@ -225,57 +225,83 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 # -- convolutional stack, all on (B, C, H, W) ---------------------------------
 
+# conv2d's forward from this many input channels on: one GEMM per kernel tap, summed. Below it, one
+# GEMM on a channel-last patch matrix. On this pipeline's 3x3 convs (one BLAS thread, 2-vCPU VM) the
+# per-tap GEMMs took 2.3-2.5x the patch matrix's time at C = 1, 0.88-1.16x at C = 8, 1.16-1.61x at
+# C = 16 and 1.2x at C = 24, but 0.62x on the generator's C = 32 convs and 0.81-1.05x at C = 40.
+SHIFTED_GEMM_MIN_CHANNELS = 32
 
-def _im2col(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Zero-padded 'same' patches: (B, H, W, C*kh*kw), patch axis ordered (C, kh, kw)."""
+
+def _pad_channel_last(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """(B, C, H, W) -> zero-padded channel-last (B, H + 2 ph, W + 2 pw, C)."""
     b, c, h, w = x.shape
-    ph, pw = kh // 2, kw // 2
-    xp = np.zeros((b, c, h + 2 * ph, w + 2 * pw))
-    xp[:, :, ph : ph + h, pw : pw + w] = x
-    s = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp, shape=(b, c, h, w, kh, kw), strides=(s[0], s[1], s[2], s[3], s[2], s[3])
-    )
-    return windows.transpose(0, 2, 3, 1, 4, 5).reshape(b, h, w, c * kh * kw)
+    xp = np.zeros((b, h + 2 * ph, w + 2 * pw, c))
+    xp[:, ph : ph + h, pw : pw + w] = x.transpose(0, 2, 3, 1)
+    return xp
 
 
-def _col2im(cols: np.ndarray, shape, kh: int, kw: int) -> np.ndarray:
-    """Adjoint of _im2col with the patch axis ordered (kh, kw, C): (B, H, W, kh*kw*C) -> (B, C, H, W).
+def _tap(xp: np.ndarray, i: int, j: int, h: int, w: int) -> np.ndarray:
+    """The (B*H*W, C) input rows that kernel tap (i, j) reads from a padded channel-last buffer."""
+    return xp[:, i : i + h, j : j + w].reshape(-1, xp.shape[-1])
 
-    The scatter runs channel-last, so each tap adds one contiguous slice; the
-    taps are summed in (i, j) order.
+
+def _conv_input_grad(gy: np.ndarray, taps: np.ndarray, shape) -> np.ndarray:
+    """Input gradient of a 'same' conv: (B*H*W, K) output gradients -> (B, C, H, W).
+
+    taps is the weight as (kh, kw, C, K). Each tap's GEMM gy @ taps[i, j].T is
+    added, in (i, j) order, into a zero-padded channel-last buffer at the
+    window that tap read in the forward pass.
     """
-    b, c, h, w = shape
+    kh, kw, c, _ = taps.shape
+    b, _, h, w = shape
     ph, pw = kh // 2, kw // 2
-    out = np.zeros((b, h + 2 * ph, w + 2 * pw, c))
-    cols = cols.reshape(b, h, w, kh, kw, c)
+    gxp = np.zeros((b, h + 2 * ph, w + 2 * pw, c))
     for i in range(kh):
         for j in range(kw):
-            out[:, i : i + h, j : j + w] += cols[:, :, :, i, j]
-    return out[:, ph : ph + h, pw : pw + w].transpose(0, 3, 1, 2)
+            gxp[:, i : i + h, j : j + w] += (gy @ taps[i, j].T).reshape(b, h, w, c)
+    return gxp[:, ph : ph + h, pw : pw + w].transpose(0, 3, 1, 2)
 
 
 def conv2d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
-    """Stride-1 'same' convolution. x: (B,C,H,W), w: (K,C,kh,kw), bias: (K,)."""
+    """Stride-1 'same' convolution. x: (B,C,H,W), w: (K,C,kh,kw), bias: (K,).
+
+    The input is copied once into a zero-padded channel-last buffer and the
+    weight viewed as taps (kh, kw, C, K). From SHIFTED_GEMM_MIN_CHANNELS input
+    channels on, the output is the sum over taps of that tap's shifted window
+    times taps[i, j]; with fewer channels it is one GEMM on the channel-last
+    (kh, kw, C) patch matrix. The weight gradient is one GEMM per tap on the
+    same windows, the input gradient `_conv_input_grad`.
+    """
     if x.data.ndim != 4 or w.data.ndim != 4 or x.shape[1] != w.shape[1]:
         raise ShapeError("conv2d", x.shape, w.shape)
     if bias.data.shape != (w.shape[0],):
         raise ShapeError("conv2d.bias", bias.shape, w.shape)
-    k, _, kh, kw = w.shape
-    wdata = w.data
-    cols = _im2col(x.data, kh, kw)  # (B,H,W,C*kh*kw)
-    y = cols @ wdata.reshape(k, -1).T + bias.data  # (B,H,W,K)
-    out = Tensor(y.transpose(0, 3, 1, 2), _parents=(x, w, bias), op="conv2d")
+    k, c, kh, kw = w.shape
+    b, _, h, wd = x.shape
+    xp = _pad_channel_last(x.data, kh // 2, kw // 2)
+    taps = w.data.transpose(2, 3, 1, 0)  # (kh, kw, C, K), a view
+    offsets = [(i, j) for i in range(kh) for j in range(kw)]
+    if c >= SHIFTED_GEMM_MIN_CHANNELS:
+        y = _tap(xp, 0, 0, h, wd) @ taps[0, 0]
+        for i, j in offsets[1:]:
+            y += _tap(xp, i, j, h, wd) @ taps[i, j]
+    else:
+        cols = np.concatenate([xp[:, i : i + h, j : j + wd] for i, j in offsets], axis=-1)
+        y = cols.reshape(-1, kh * kw * c) @ taps.reshape(-1, k)
+    y += bias.data
+    out = Tensor(y.reshape(b, h, wd, k).transpose(0, 3, 1, 2), _parents=(x, w, bias), op="conv2d")
 
     def bwd(g):
-        gy = g.transpose(0, 2, 3, 1)  # (B,H,W,K)
+        gy = g.transpose(0, 2, 3, 1).reshape(-1, k)  # (B*H*W, K)
         if w.needs_grad:
-            w._accum((gy.reshape(-1, k).T @ cols.reshape(-1, cols.shape[-1])).reshape(wdata.shape))
+            gw = np.empty((kh, kw, c, k))
+            for i, j in offsets:
+                gw[i, j] = _tap(xp, i, j, h, wd).T @ gy
+            w._accum(gw.transpose(3, 2, 0, 1))
         if bias.needs_grad:
-            bias._accum(gy.sum(axis=(0, 1, 2)))
+            bias._accum(gy.sum(axis=0))
         if x.needs_grad:
-            gcols = gy @ wdata.transpose(0, 2, 3, 1).reshape(k, -1)  # (B,H,W,kh*kw*C)
-            x._accum(_col2im(gcols, x.data.shape, kh, kw))
+            x._accum(_conv_input_grad(gy, taps, x.data.shape))
 
     out._backward = bwd
     return out

@@ -60,7 +60,10 @@ def load_checkpoint(path: str | Path) -> tuple[str, dict[str, np.ndarray], dict]
         manifest = json.loads(raw[mstart:base].decode("utf-8"))
         role, entries, config = manifest["role"], manifest["tensors"], manifest.get("config", {})
         layout = [(e["name"], tuple(int(d) for d in e["shape"]), int(e["offset"])) for e in entries]
-    except (ValueError, KeyError, TypeError, AttributeError) as err:  # ValueError covers bad UTF-8 and JSON
+        if not isinstance(config, dict) or not all(isinstance(name, str) for name, _, _ in layout):
+            raise TypeError("config must be an object and tensor names strings")
+    # ValueError covers bad UTF-8 and JSON, OverflowError an infinite size, RecursionError deep nesting
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError, RecursionError) as err:
         raise ValueError(f"{path}: malformed manifest ({type(err).__name__}: {err})") from None
     tensors = {}
     for name, shape, offset in layout:

@@ -145,10 +145,15 @@ def featurize(params: ClassifierParams, image: np.ndarray) -> FeatureStack:
 
 
 def head(W: np.ndarray, b: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The linear head on one latent: logits = W^T z + b, probs = softmax(logits)."""
-    logits = (z[None] @ W + b)[0]
-    e = np.exp(logits - logits.max())
-    return logits, e / e.sum()
+    """The linear head on one latent (N,), or row-wise on a stack of them (M, N):
+    logits = z W + b, probs = softmax(logits).
+
+    A stack is one product (gemm), which can differ from its rows' one-row
+    products (gemv) in the last bits.
+    """
+    logits = z @ W + b
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return logits, e / e.sum(axis=-1, keepdims=True)
 
 
 def classify(params: ClassifierParams, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

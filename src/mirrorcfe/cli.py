@@ -17,7 +17,8 @@ from .classifier import (ClassifierConfig, TrainHyper, featurize, featurize_batc
 from .dataset import DatasetConfig, LabeledDataset, generate_dataset, split
 from .evaluation import evaluate_suite, write_csv
 from .pgm import quantize, read_pgm, write_pgm
-from .training import TrainConfig, load_generator, save_discriminator, save_generator, train_generator
+from .training import (TrainConfig, check_generator_fits, load_generator, save_discriminator, save_generator,
+                       train_generator)
 
 _SCHEMA = {
     "dataset": {"image_size", "per_class", "noise_sigma", "seed", "train_fraction",
@@ -75,15 +76,16 @@ def write_dataset_dir(out_dir: Path, train: LabeledDataset, test: LabeledDataset
     write_csv(out_dir / "labels.csv", ["filename", "label", "split"], rows)
 
 
-def read_dataset_dir(data_dir: Path) -> tuple[LabeledDataset, LabeledDataset]:
-    train = LabeledDataset(split="train")
-    test = LabeledDataset(split="test")
+def read_dataset_dir(data_dir: Path, splits: tuple[str, ...] = ("train", "test")) -> tuple[LabeledDataset, ...]:
+    """The named splits of a dataset directory, in that order; images of other splits are not read."""
+    datasets = {name: LabeledDataset(split=name) for name in splits}
     with open(data_dir / "labels.csv", newline="") as f:
         for row in csv.DictReader(f):
-            ds = train if row["split"] == "train" else test
-            ds.images.append(read_pgm(data_dir / row["filename"]))
-            ds.labels.append(int(row["label"]))
-    return train, test
+            ds = datasets.get(row["split"])
+            if ds is not None:
+                ds.images.append(read_pgm(data_dir / row["filename"]))
+                ds.labels.append(int(row["label"]))
+    return tuple(datasets.values())
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -120,7 +122,7 @@ def cmd_train_classifier(args) -> None:
 
 def cmd_train_generator(args) -> None:
     section = _seed_override(load_config(args.config).get("generator", {}))
-    train_ds, _ = read_dataset_dir(Path(args.data))
+    (train_ds,) = read_dataset_dir(Path(args.data), ("train",))
     clf = load_classifier(args.classifier)
     cfg = TrainConfig(**section)
     gen, dis, history = train_generator(clf, train_ds, cfg,
@@ -139,6 +141,7 @@ def cmd_explain(args) -> None:
         raise ValueError(f"explain needs at least 2 steps (k = 0 and k = 1), got {args.steps}")
     clf = load_classifier(args.classifier)
     gen = load_generator(args.generator)
+    check_generator_fits(gen, clf)
     image = read_pgm(args.image)
     stack = featurize(clf, image)
     source = int(np.argmax(stack.probs))  # predicted class is the source label
@@ -175,7 +178,8 @@ def cmd_evaluate(args) -> None:
     section = load_config(args.config).get("eval", {}) if args.config else {}
     clf = load_classifier(args.classifier)
     gen = load_generator(args.generator)
-    _, test_ds = read_dataset_dir(Path(args.data))
+    check_generator_fits(gen, clf)
+    (test_ds,) = read_dataset_dir(Path(args.data), ("test",))
     pairs_spec = args.pairs or section.get("pairs", "0:1")
     if isinstance(pairs_spec, str):
         pairs = [tuple(int(x) for x in p.split(":")) for p in pairs_spec.split(",")]

@@ -17,6 +17,9 @@ import numpy as np
 from .classifier import head
 
 FIRST_CFE_MIN_STEPS = 21  # the first-flip scan needs a grid at least this fine
+# A target logit that leads every other by no more than this is a tie, not a flip: on the binary
+# path k = 0.5 lands on the boundary, where the s/t logit gap is rounding noise of either sign.
+FLIP_MARGIN = 1e-9
 
 
 class DegenerateMirrorError(ValueError):
@@ -103,9 +106,11 @@ def position(z_s: np.ndarray, mirror: Mirror, k: float, z_r_prime: np.ndarray | 
     return _step(z_s, k, *_travel(z_s, mirror, z_r_prime))
 
 
-def pair_confidence(z: np.ndarray, mirror: Mirror) -> float:
-    """Pairwise two-class confidence sigmoid(w . z + b) for the target class."""
-    return float(1.0 / (1.0 + np.exp(-(mirror.w @ z + mirror.b))))
+def pair_confidence(z: np.ndarray, mirror: Mirror) -> float | np.ndarray:
+    """Pairwise two-class confidence sigmoid(w . z + b) for the target class: a float for one
+    latent (N,), an (M,) array for a stack of them (M, N)."""
+    q = 1.0 / (1.0 + np.exp(-(z @ mirror.w + mirror.b)))
+    return q if z.ndim == 2 else float(q)
 
 
 def _kind(k: float) -> str:
@@ -123,6 +128,7 @@ class KfePoint:
     k: float
     z: np.ndarray
     q_pair: float
+    logits: np.ndarray
     p_multi: np.ndarray
 
     @property
@@ -135,7 +141,9 @@ class Trajectory:
     """KfePoints on a uniform k-grid of `steps` points from z_s (k=0) to k=1.
 
     The step's scale and direction are computed once; the grid's latents are
-    one array, each row bit-equal to `position` at its k.
+    one array, each row bit-equal to `position` at its k, and the head runs on
+    the whole grid in one product. `point_at`, which the first-CFE bisection
+    calls, runs the head on its one latent.
     """
 
     z_s: np.ndarray
@@ -153,16 +161,19 @@ class Trajectory:
         ks = np.linspace(0.0, 1.0, self.steps)
         grid = self.z_s + (scale * ks)[:, None] * direction
         grid[0] = self.z_s  # k=0 is a copy of z_s, as in `position`: a zero step would turn -0.0 into 0.0
-        object.__setattr__(self, "points", tuple(self._point(float(k), z) for k, z in zip(ks, grid)))
+        logits, probs = head(self.W, self.b, grid)
+        q_pairs = pair_confidence(grid, self.mirror)
+        object.__setattr__(self, "points", tuple(
+            KfePoint(k=float(k), z=z, q_pair=float(q), logits=lg, p_multi=p)
+            for k, z, q, lg, p in zip(ks, grid, q_pairs, logits, probs)))
 
     def latent_at(self, k: float) -> np.ndarray:
         return _step(self.z_s, k, *self._scale_direction)
 
     def point_at(self, k: float) -> KfePoint:
-        return self._point(k, self.latent_at(k))
-
-    def _point(self, k: float, z: np.ndarray) -> KfePoint:
-        return KfePoint(k=k, z=z, q_pair=pair_confidence(z, self.mirror), p_multi=head(self.W, self.b, z)[1])
+        z = self.latent_at(k)
+        logits, probs = head(self.W, self.b, z)
+        return KfePoint(k=k, z=z, q_pair=pair_confidence(z, self.mirror), logits=logits, p_multi=probs)
 
 
 def sample_trajectory(z_s: np.ndarray, mirror: Mirror, W: np.ndarray, b: np.ndarray,
@@ -173,31 +184,38 @@ def sample_trajectory(z_s: np.ndarray, mirror: Mirror, W: np.ndarray, b: np.ndar
     return Trajectory(z_s=z_s, mirror=mirror, W=W, b=b, z_r_prime=z_r_prime, steps=steps)
 
 
+def _leads(logits: np.ndarray, target: int) -> np.ndarray:
+    """Where the target logit leads every other one by more than FLIP_MARGIN, for logits (..., C)."""
+    rivals = logits.copy()
+    rivals[..., target] = -np.inf
+    return logits[..., target] - rivals.max(axis=-1) > FLIP_MARGIN
+
+
 def first_cfe(trajectory: Trajectory, tol: float = 1e-3) -> KfePoint:
-    """Smallest-k point whose multi-class argmax is the target, via bisection.
+    """Smallest-k point whose multi-class prediction is the target, via bisection.
 
     Scans the trajectory grid for the first flip, then bisects between the
-    last unflipped and first flipped grid points until |delta k| <= tol.
+    last unflipped and first flipped grid points until |delta k| <= tol. A
+    point counts as flipped only when the target leads by more than
+    FLIP_MARGIN, so a flip at the binary projection k = 0.5 is reported as
+    the first bisection point past it, whatever the last bits of the tie.
     """
     if len(trajectory.points) < FIRST_CFE_MIN_STEPS:
         raise ValueError(f"first_cfe needs a trajectory of at least {FIRST_CFE_MIN_STEPS} steps")
     t = trajectory.mirror.target
-    flip_idx = None
-    for i, pt in enumerate(trajectory.points):
-        if int(np.argmax(pt.p_multi)) == t:
-            flip_idx = i
-            break
-    if flip_idx is None:
+    flips = _leads(np.stack([pt.logits for pt in trajectory.points]), t)
+    if not flips.any():
         raise NoFlipError(
             f"prediction never flips to class {t} by k=1 "
             f"(final argmax {int(np.argmax(trajectory.points[-1].p_multi))})")
+    flip_idx = int(np.argmax(flips))
     if flip_idx == 0:
         return trajectory.points[0]
     lo = trajectory.points[flip_idx - 1].k
     hi = trajectory.points[flip_idx].k
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if int(np.argmax(trajectory.point_at(mid).p_multi)) == t:
+        if _leads(trajectory.point_at(mid).logits, t):
             hi = mid
         else:
             lo = mid

@@ -62,6 +62,8 @@ def read_pgm(path: str | Path) -> np.ndarray:
     if len(fields) < 4 or not all(f.isdigit() for f in fields[1:]):
         raise ValueError(f"{path}: PGM header needs width, height and maxval as integers, got {fields[1:]!r}")
     w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    if w == 0 or h == 0:
+        raise ValueError(f"{path}: PGM width and height must be positive, got {w}x{h}")
     if maxval != 255:
         raise ValueError(f"{path}: unsupported maxval {maxval}")
     pos += 1  # single whitespace after maxval

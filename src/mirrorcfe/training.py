@@ -19,9 +19,10 @@ from .checkpoint import check_tensors, load_checkpoint, save_checkpoint
 from .classifier import ClassifierParams, checkpoint_checksum, classify, forward_graph
 from .dataset import LabeledDataset
 
-# Feature maps per generator pass in generate_images. The widest conv's im2col patch matrix takes
-# 590 KB per map: 2 maps stay within a 2 MB L2 cache, and at 8 a chunk decodes slower than one map at a time.
-DECODE_CHUNK = 2
+# Feature maps per generator pass in generate_images. Measured on a 2-vCPU VM with a 2 MB L2 cache per
+# core, in ms per map for chunks of 1, 2, 3, 4 and 8: plain 0.62, 0.50, 0.47, 0.51, 0.66; SSC 1.20, 0.96,
+# 0.88, 0.89, 0.98. Past a few maps a chunk's intermediates outgrow the cache.
+DECODE_CHUNK = 3
 
 
 class TrainingDivergedError(RuntimeError):
@@ -433,6 +434,18 @@ def load_generator(path) -> GeneratorParams:
     check_tensors(path, tensors, generator_shapes(cfg["in_channels"], cfg["width"], channels("g_conv1_w"),
                                                   channels("spe0_bottleneck_w") if ssc else None))
     return gen
+
+
+def check_generator_fits(gen: GeneratorParams, clf: ClassifierParams) -> None:
+    """Raise a one-line ValueError unless `gen` decodes `clf`'s features: its first conv must read
+    the classifier's latent channels and an SSC generator's skip its first-stage channels."""
+    needs = {"g_conv1_w": ("latent", clf.config.latent_dim)}
+    if gen.ssc:
+        needs["spe0_bottleneck_w"] = ("first-stage", clf.config.stage_channels[0])
+    for name, (what, channels) in needs.items():
+        if gen.tensors[name].shape[1] != channels:
+            raise ValueError(f"generator tensor {name!r} reads {gen.tensors[name].shape[1]} channels, "
+                             f"but the classifier's {what} features have {channels}")
 
 
 def save_discriminator(path, dis: DiscriminatorParams) -> None:

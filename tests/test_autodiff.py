@@ -10,6 +10,10 @@ def _leaf(shape, rng, scale=1.0):
     return ad.Tensor(rng.normal(0.0, scale, shape), trainable=True)
 
 
+# conv2d thresholds that force each forward form on every shape: the patch matrix, then shifted GEMMs
+FORMS = (10**9, 0)
+
+
 def _check(loss_fn, leaf, rng, tol=1e-6):
     err = ad.gradient_check(loss_fn, leaf, rng=rng)
     assert err < tol, f"gradient error {err:.3e} >= {tol:.1e}"
@@ -60,14 +64,18 @@ class TestPrimitiveGradients:
         _check(lambda: ad.mean(ad.linear(x, w, b)), x, rng)
         _check(lambda: ad.mean(ad.linear(x, w, b)), w, rng)
 
-    def test_conv2d(self):
+    def test_conv2d(self, monkeypatch):
+        # both forward forms (patch matrix, shifted GEMMs), 3x3 and 1x1 kernels
         rng = np.random.default_rng(7)
-        x = _leaf((2, 3, 5, 5), rng)
-        w = _leaf((4, 3, 3, 3), rng)
-        b = _leaf((4,), rng)
-        _check(lambda: ad.mean(ad.conv2d(x, w, b)), x, rng)
-        _check(lambda: ad.mean(ad.conv2d(x, w, b)), w, rng)
-        _check(lambda: ad.mean(ad.conv2d(x, w, b)), b, rng)
+        for threshold in FORMS:
+            monkeypatch.setattr(ad, "SHIFTED_GEMM_MIN_CHANNELS", threshold)
+            for kernel in (3, 1):
+                x = _leaf((2, 3, 5, 5), rng)
+                w = _leaf((4, 3, kernel, kernel), rng)
+                b = _leaf((4,), rng)
+                _check(lambda: ad.mean(ad.conv2d(x, w, b)), x, rng)
+                _check(lambda: ad.mean(ad.conv2d(x, w, b)), w, rng)
+                _check(lambda: ad.mean(ad.conv2d(x, w, b)), b, rng)
 
     def test_avgpool_upsample_gap(self):
         rng = np.random.default_rng(8)
@@ -110,25 +118,27 @@ class TestPrimitiveGradients:
         _check(lambda: ad.kld(ad.constant(p), ad.softmax(logits)), logits, rng)
 
 
-def test_conv2d_matches_loop_oracle():
-    # naive quadruple-loop convolution with zero 'same' padding, 50 random cases
+def test_conv2d_matches_loop_oracle(monkeypatch):
+    # naive quadruple-loop convolution with zero 'same' padding, 50 random cases in each forward form
     rng = np.random.default_rng(0)
     for _ in range(50):
-        b, ci, co = int(rng.integers(1, 3)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        h, w = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+        b, ci, co = int(rng.integers(1, 3)), int(rng.choice([1, 2, 3, 8, 10])), int(rng.integers(1, 4))
+        h, w, kh, kw = int(rng.integers(2, 7)), int(rng.integers(2, 7)), int(rng.choice([1, 3])), int(rng.choice([1, 3]))
         x = rng.normal(size=(b, ci, h, w))
-        kern = rng.normal(size=(co, ci, 3, 3))
+        kern = rng.normal(size=(co, ci, kh, kw))
         bias = rng.normal(size=(co,))
-        got = ad.conv2d(ad.constant(x), ad.constant(kern), ad.constant(bias)).data
-        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        xp = np.pad(x, ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
         want = np.zeros((b, co, h, w))
         for n in range(b):
             for o in range(co):
                 for i in range(h):
                     for j in range(w):
                         want[n, o, i, j] = bias[o] + np.sum(
-                            xp[n, :, i : i + 3, j : j + 3] * kern[o])
-        assert np.max(np.abs(got - want)) <= 1e-12
+                            xp[n, :, i : i + kh, j : j + kw] * kern[o])
+        for threshold in FORMS:
+            monkeypatch.setattr(ad, "SHIFTED_GEMM_MIN_CHANNELS", threshold)
+            got = ad.conv2d(ad.constant(x), ad.constant(kern), ad.constant(bias)).data
+            assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_gap_hand_case():
@@ -165,10 +175,11 @@ def test_full_classifier_loss_gradient():
     assert ad.gradient_check(loss_fn, x, rng=rng) < 1e-3
 
 
-def _col2im_loop_oracle(cols, shape, kh, kw):
-    # per-pixel scatter of (B, H, W, kh, kw, C) taps onto the unpadded image
+def _input_grad_loop_oracle(gy, taps, shape):
+    # per-pixel scatter of each output pixel's taps[i, j] @ gy onto the unpadded input
+    kh, kw, _, k = taps.shape
     b, c, h, w = shape
-    taps = cols.reshape(b, h, w, kh, kw, c)
+    gy = gy.reshape(b, h, w, k)
     out = np.zeros(shape)
     for n in range(b):
         for y in range(h):
@@ -177,53 +188,59 @@ def _col2im_loop_oracle(cols, shape, kh, kw):
                     for j in range(kw):
                         yy, xx = y + i - kh // 2, x + j - kw // 2
                         if 0 <= yy < h and 0 <= xx < w:
-                            out[n, :, yy, xx] += taps[n, y, x, i, j]
+                            out[n, :, yy, xx] += taps[i, j] @ gy[n, y, x]
     return out
 
 
-def _col2im_cases(rng):
+def _conv_cases(rng):
     fixed = [(1, 1, 3, 5, 3, 3), (2, 3, 4, 2, 1, 1), (1, 2, 5, 3, 1, 3), (2, 1, 2, 6, 3, 1)]
-    drawn = [(int(rng.integers(1, 3)), int(rng.integers(1, 4)), int(rng.integers(1, 7)), int(rng.integers(1, 7)),
-              int(rng.choice([1, 3, 5])), int(rng.choice([1, 3, 5]))) for _ in range(30)]
-    return fixed + drawn  # (B, C, H, W, kh, kw): C=1, 1x1 kernels and non-square images included
+    drawn = [(int(rng.integers(1, 3)), int(rng.choice([1, 2, 3, 8, 10])), int(rng.integers(1, 7)),
+              int(rng.integers(1, 7)), int(rng.choice([1, 3, 5])), int(rng.choice([1, 3, 5]))) for _ in range(30)]
+    return fixed + drawn  # (B, C, H, W, kh, kw): C=1, C >= 8, 1x1 kernels and non-square images included
 
 
-def test_col2im_matches_loop_oracle():
+def test_conv_input_grad_matches_loop_oracle():
     rng = np.random.default_rng(20)
-    for b, c, h, w, kh, kw in _col2im_cases(rng):
-        cols = rng.normal(size=(b, h, w, kh * kw * c))
-        got = ad._col2im(cols, (b, c, h, w), kh, kw)
+    for b, c, h, w, kh, kw in _conv_cases(rng):
+        k = int(rng.integers(1, 4))
+        gy, taps = rng.normal(size=(b * h * w, k)), rng.normal(size=(kh, kw, c, k))
+        got = ad._conv_input_grad(gy, taps, (b, c, h, w))
         assert got.shape == (b, c, h, w)
-        assert np.max(np.abs(got - _col2im_loop_oracle(cols, (b, c, h, w), kh, kw))) <= 1e-12
+        assert np.max(np.abs(got - _input_grad_loop_oracle(gy, taps, (b, c, h, w)))) <= 1e-12
 
 
-def test_col2im_is_adjoint_of_im2col():
-    # <im2col(x), c> == <x, col2im(c)>, with c's patch axis reordered from (C, kh, kw) to (kh, kw, C)
+def test_conv_backward_is_adjoint_of_conv(monkeypatch):
+    # conv2d without bias is linear in x and in w: <conv(x, w), g> == <x, dx> == <w, dw>, in each forward form
     rng = np.random.default_rng(21)
-    for b, c, h, w, kh, kw in _col2im_cases(rng):
-        x = rng.normal(size=(b, c, h, w))
-        cols = rng.normal(size=(b, h, w, c * kh * kw))
-        taps = cols.reshape(b, h, w, c, kh, kw).transpose(0, 1, 2, 4, 5, 3).reshape(b, h, w, -1)
-        lhs = np.sum(ad._im2col(x, kh, kw) * cols)
-        rhs = np.sum(x * ad._col2im(taps, x.shape, kh, kw))
-        assert abs(lhs - rhs) <= 1e-12
+    for b, c, h, w, kh, kw in _conv_cases(rng):
+        k = int(rng.integers(1, 4))
+        x_data, w_data, g = (rng.normal(size=(b, c, h, w)), rng.normal(size=(k, c, kh, kw)),
+                             rng.normal(size=(b, k, h, w)))
+        for threshold in FORMS:
+            monkeypatch.setattr(ad, "SHIFTED_GEMM_MIN_CHANNELS", threshold)
+            x, wt = ad.Tensor(x_data, trainable=True), ad.Tensor(w_data, trainable=True)
+            out = ad.conv2d(x, wt, ad.constant(np.zeros(k)))
+            out._backward(g)
+            lhs = np.sum(out.data * g)
+            assert abs(lhs - np.sum(x_data * x.grad)) <= 1e-12
+            assert abs(lhs - np.sum(w_data * wt.grad)) <= 1e-12
 
 
 class TestGradientRule:
     @staticmethod
-    def _count_col2im(monkeypatch):
+    def _count_input_grads(monkeypatch):
         calls = []
-        real = ad._col2im
+        real = ad._conv_input_grad
 
         def counted(*args):
-            calls.append(args[1])
+            calls.append(args[2])
             return real(*args)
 
-        monkeypatch.setattr(ad, "_col2im", counted)
+        monkeypatch.setattr(ad, "_conv_input_grad", counted)
         return calls
 
     def test_constant_input_and_frozen_weight_get_no_gradient(self, monkeypatch):
-        calls = self._count_col2im(monkeypatch)
+        calls = self._count_input_grads(monkeypatch)
         rng = np.random.default_rng(30)
         x = ad.constant(rng.normal(size=(2, 3, 5, 4)))
         w = ad.constant(rng.normal(size=(4, 3, 3, 3)))
@@ -272,7 +289,7 @@ class TestGradientRule:
             return real_forward(graph_params, config, x)
 
         monkeypatch.setattr(training, "forward_graph", spy)
-        calls = self._count_col2im(monkeypatch)
+        calls = self._count_input_grads(monkeypatch)
         data = generate_dataset(DatasetConfig(per_class=2, seed=0))
         cfg = training.TrainConfig(epochs=1, batch_size=4, seed=0)
         training.train_generator(init_params(ClassifierConfig(), seed=0), data, cfg)
@@ -286,7 +303,7 @@ class TestGradientRule:
         from mirrorcfe.classifier import TrainHyper, train_classifier
         from mirrorcfe.dataset import DatasetConfig, generate_dataset
 
-        calls = self._count_col2im(monkeypatch)
+        calls = self._count_input_grads(monkeypatch)
         data = generate_dataset(DatasetConfig(per_class=2, seed=0))
         train_classifier(data, None, TrainHyper(epochs=1, batch_size=4, seed=0))
         assert len(calls) == len(data) // 4  # one per batch: the second conv's input

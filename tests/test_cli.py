@@ -247,6 +247,31 @@ def test_generator_missing_tensor_one_error_line(workdir, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["explain", "evaluate"])
+@pytest.mark.parametrize("stage_channels, ssc, word", [
+    ((8, 12), False, "'g_conv1_w' reads 12 channels, but the classifier's latent features have 16"),
+    ((4, 16), True, "'spe0_bottleneck_w' reads 4 channels, but the classifier's first-stage features have 8"),
+], ids=["plain-latent", "ssc-first-stage"])
+def test_generator_for_another_classifier_one_error_line(workdir, tmp_path, capsys, command, stage_channels,
+                                                         ssc, word):
+    # such a generator loads; explain used to make its output directory and fail with a ShapeError in the decode
+    from mirrorcfe.classifier import ClassifierConfig
+    from mirrorcfe.training import init_generator, save_generator
+
+    gen = tmp_path / "gen.ckpt"
+    other = init_generator(ClassifierConfig(stage_channels=stage_channels), 0, ssc=ssc)
+    other.config.update(rho_lower=0.2, rho_upper=0.8)
+    save_generator(gen, other)
+    out = tmp_path / "out"
+    flags = {"explain": ["--image", str(workdir / "data" / "img_00000.pgm"), "--target", "0"],
+             "evaluate": ["--data", str(workdir / "data"), "--pairs", "0:1"]}[command]
+    assert main([command, "--classifier", str(workdir / "clf.ckpt"), "--generator", str(gen), *flags,
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ValueError:") and word in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text, word", [
     ('{"dataset": 5}', "section 'dataset': expected a JSON object, got int"),
     ("[1]", "expected a JSON object of sections, got list"),

@@ -117,6 +117,18 @@ class TestTrajectoryAndFirstCfe:
         with pytest.raises(geo.NoFlipError):
             geo.first_cfe(traj)
 
+    def test_first_cfe_at_the_projection_is_not_decided_by_rounding(self):
+        # s and t lead the other classes, so the binary path flips exactly at k = 0.5, where the
+        # s/t logit gap is rounding noise; a 1-ulp change of z_s must not move the reported k
+        rng = np.random.default_rng(0)
+        for _ in range(40):
+            W, b, z_s = rng.normal(size=(16, 4)), rng.normal(size=4), rng.normal(size=16)
+            order = np.argsort(z_s @ W + b)
+            m = geo.make_mirror(W, b, int(order[-1]), int(order[-2]))
+            ks = {geo.first_cfe(geo.sample_trajectory(z, m, W, b)).k
+                  for z in (z_s, np.nextafter(z_s, np.inf), np.nextafter(z_s, -np.inf))}
+            assert ks == {0.5 + 0.05 / 64}  # the first bisection point past the projection
+
     def test_short_trajectory_rejected(self):
         W, b = self._three_class_head()
         m = geo.make_mirror(W, b, 0, 1)
@@ -144,7 +156,8 @@ class TestTrajectoryAndFirstCfe:
             assert np.array_equal(geo.position(z, m, k), z - 2.0 * k * geo.signed_distance(z, m) * m.unit)
 
     def test_trajectory_grid_is_bit_equal_to_position_and_head(self):
-        # the one-array grid and the bisection's point_at, against per-k position plus head
+        # the one-array grid and the bisection's point_at, against per-k position plus one-row head:
+        # latents bit-equal; the grid's one-product head within 1e-14, point_at's bit-equal
         from mirrorcfe.classifier import head
 
         rng = np.random.default_rng(8)
@@ -158,11 +171,14 @@ class TestTrajectoryAndFirstCfe:
             z_r = rng.normal(size=n) if case % 2 else None
             traj = geo.sample_trajectory(z_s, m, W, b, steps=int(rng.integers(2, 40)), z_r_prime=z_r)
             extra = [traj.point_at(float(k)) for k in rng.uniform(size=3)]
-            for pt in (*traj.points, *extra):
+            for pt, tol in [(pt, 1e-14) for pt in traj.points] + [(pt, 0.0) for pt in extra]:
                 z = geo.position(z_s, m, pt.k, z_r)
                 assert pt.z.tobytes() == z.tobytes()
-                assert pt.p_multi.tobytes() == head(W, b, z)[1].tobytes()
-                assert pt.q_pair == geo.pair_confidence(z, m)
+                logits, probs = head(W, b, z)
+                assert np.max(np.abs(pt.p_multi - probs)) <= tol
+                assert abs(pt.q_pair - geo.pair_confidence(z, m)) <= tol
+                if tol == 0.0:
+                    assert (pt.logits.tobytes(), pt.p_multi.tobytes()) == (logits.tobytes(), probs.tobytes())
 
     def test_position_with_z_r_prime_interpolates(self):
         rng = np.random.default_rng(7)

@@ -1,9 +1,12 @@
 """PGM image files and the binary checkpoint container."""
 
+import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mirrorcfe.checkpoint import load_checkpoint, save_checkpoint
 from mirrorcfe.pgm import read_pgm, write_pgm
@@ -73,7 +76,8 @@ def test_checkpoint_rejects_bad_role_and_magic(tmp_path):
     (b"P5\n2 2\n", "integers"),  # maxval missing
     (b"P5\n2 x\n255\n\x00\x00", "integers"),
     (b"P5\n2 -2\n255\n\x00\x00", "integers"),
-], ids=["short-payload", "missing-maxval", "non-integer", "negative"])
+    (b"P5\n0 2\n255\n", "positive"),  # it used to read as a (1, 2, 0) image
+], ids=["short-payload", "missing-maxval", "non-integer", "negative", "zero-width"])
 def test_pgm_rejects_malformed(tmp_path, payload, word):
     path = tmp_path / "bad.pgm"
     path.write_bytes(payload)
@@ -150,3 +154,88 @@ def test_generator_tensors_checked_against_config(tmp_path, edit, word, ssc):
     with pytest.raises(ValueError, match=word) as info:
         load_generator(path)
     assert str(path) in str(info.value)
+
+
+# -- byte fuzz: every malformed file ends in one ValueError-family error ------------------------
+
+_NUMBER = st.one_of(st.integers(-3, 3), st.integers(), st.floats(allow_nan=True, allow_infinity=True))
+_ANY_JSON = st.recursive(st.none() | st.booleans() | _NUMBER | st.text(max_size=6),
+                         lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                                    max_size=3), max_leaves=6)
+_ENTRY = st.fixed_dictionaries({
+    "name": st.sampled_from(["w", "g_conv1_w", "head_w"]) | _ANY_JSON,
+    "shape": st.lists(_NUMBER, max_size=3) | _ANY_JSON,
+    "offset": _NUMBER | _ANY_JSON,
+})
+_MANIFEST = st.one_of(
+    st.fixed_dictionaries({"role": st.sampled_from(["classifier", "generator", "discriminator"]) | _ANY_JSON,
+                           "tensors": st.lists(_ENTRY, max_size=3) | _ANY_JSON},
+                          optional={"config": _ANY_JSON}),
+    _ANY_JSON,
+    st.integers(1, 3000).map(lambda n: "[" * n),  # nested too deeply to parse
+)
+
+
+def _mcfe1(manifest, payload: bytes) -> bytes:
+    text = manifest if isinstance(manifest, str) and manifest.startswith("[") else json.dumps(manifest)
+    raw = text.encode()
+    return b"MCFE1" + struct.pack("<I", len(raw)) + raw + payload
+
+
+def _edited(raw: bytes, edits) -> bytes:
+    out = bytearray(raw)
+    for pos, value in edits:
+        out[pos % len(out)] = value
+    return bytes(out)
+
+
+_GOOD_CHECKPOINT = _mcfe1({"role": "generator", "tensors": [{"name": "w", "shape": [2], "offset": 0}],
+                           "config": {}}, np.ones(2).tobytes())
+_CHECKPOINT_BYTES = st.one_of(
+    st.binary(max_size=64),
+    st.builds(_mcfe1, _MANIFEST, st.binary(max_size=40)),
+    st.builds(lambda n, edits: _edited(_GOOD_CHECKPOINT[:n], edits) if n else b"",
+              st.integers(0, len(_GOOD_CHECKPOINT)), st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)),
+                                                               max_size=4)),
+)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=_CHECKPOINT_BYTES)
+def test_checkpoint_fuzz_ends_in_one_value_error_line(tmp_path, raw):
+    from mirrorcfe.classifier import load_classifier
+    from mirrorcfe.training import load_generator
+
+    path = tmp_path / "fuzz.ckpt"
+    path.write_bytes(raw)
+    for load in (load_checkpoint, load_classifier, load_generator):
+        try:
+            load(path)
+        except ValueError as err:
+            assert "\n" not in str(err)
+
+
+_PGM_DIM = st.one_of(st.integers(0, 3).map(lambda n: str(n).encode()), st.integers(0, 10**40).map(lambda n: str(n).encode()),
+                     st.sampled_from([b"-2", b"x", b"", b"#c\n2"]), st.binary(max_size=3))
+_PGM_BYTES = st.one_of(
+    st.binary(max_size=48),
+    st.builds(lambda magic, fields, seps, payload: magic + b"".join(s + f for f, s in zip(fields, seps)) + payload,
+              st.sampled_from([b"P5", b"P5", b"P5", b"P2", b"#c\nP5", b""]),
+              st.tuples(_PGM_DIM, _PGM_DIM, st.one_of(st.just(b"255"), st.sampled_from([b"65535", b"0", b"x", b""]),
+                                                      st.binary(max_size=3))),
+              st.lists(st.sampled_from([b" ", b"\n", b"\t", b"", b"\r\n"]), min_size=3, max_size=3),
+              st.sampled_from([b"", b"\n", b" "]).flatmap(lambda sep: st.binary(max_size=12).map(sep.__add__))),
+)  # magic, then width, height and maxval, each drawn from valid, edge and junk values
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=_PGM_BYTES)
+def test_pgm_fuzz_ends_in_one_value_error_line(tmp_path, raw):
+    path = tmp_path / "fuzz.pgm"
+    path.write_bytes(raw)
+    try:
+        img = read_pgm(path)
+    except ValueError as err:
+        assert "\n" not in str(err)
+        return
+    assert img.ndim == 3 and img.shape[0] == 1 and img.size > 0
