@@ -7,9 +7,18 @@ receive a gradient: backward() leaves `.grad` of every other node None and
 computes no gradient for it, so a frozen weight or a constant input costs
 nothing in the backward pass. Non-finite values are treated as an error state
 and raised immediately rather than propagated.
+
+The forward math of the ops that networks are built from is one array kernel
+per op (`_conv2d`, `_relu`, ...). A Tensor op runs its kernel and records the
+node; `arrays` runs the same kernels on plain float64 arrays and records
+nothing, for inference. `ops(x)` picks one of the two by the type of x, so one
+network definition serves training and inference alike.
 """
 
 from __future__ import annotations
+
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -115,11 +124,24 @@ def constant(data) -> Tensor:
 # -- elementwise --------------------------------------------------------------
 
 
+def _check_elementwise(op: str, a: np.ndarray, b: np.ndarray) -> None:
+    if a.shape != b.shape and a.ndim and b.ndim:
+        raise ShapeError(op, a.shape, b.shape)
+
+
+def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    _check_elementwise("add", a, b)
+    return a + b
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    _check_elementwise("mul", a, b)
+    return a * b
+
+
 def add(a: Tensor, b) -> Tensor:
     a, b = _lift(a), _lift(b)
-    if a.shape != b.shape and b.data.ndim != 0 and a.data.ndim != 0:
-        raise ShapeError("add", a.shape, b.shape)
-    out = Tensor(a.data + b.data, _parents=(a, b), op="add")
+    out = Tensor(_add(a.data, b.data), _parents=(a, b), op="add")
 
     def bwd(g):
         a._accum(g if a.data.ndim else np.sum(g))
@@ -131,8 +153,7 @@ def add(a: Tensor, b) -> Tensor:
 
 def sub(a: Tensor, b) -> Tensor:
     a, b = _lift(a), _lift(b)
-    if a.shape != b.shape and b.data.ndim != 0 and a.data.ndim != 0:
-        raise ShapeError("sub", a.shape, b.shape)
+    _check_elementwise("sub", a.data, b.data)
     out = Tensor(a.data - b.data, _parents=(a, b), op="sub")
 
     def bwd(g):
@@ -145,9 +166,7 @@ def sub(a: Tensor, b) -> Tensor:
 
 def mul(a: Tensor, b) -> Tensor:
     a, b = _lift(a), _lift(b)
-    if a.shape != b.shape and b.data.ndim != 0 and a.data.ndim != 0:
-        raise ShapeError("mul", a.shape, b.shape)
-    out = Tensor(a.data * b.data, _parents=(a, b), op="mul")
+    out = Tensor(_mul(a.data, b.data), _parents=(a, b), op="mul")
 
     def bwd(g):
         ga = g * b.data
@@ -166,15 +185,23 @@ def scale(a: Tensor, c: float) -> Tensor:
     return out
 
 
+def _relu(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0)
+
+
 def relu(a: Tensor) -> Tensor:
     # subgradient at 0 is 0
-    out = Tensor(np.maximum(a.data, 0.0), _parents=(a,), op="relu")
+    out = Tensor(_relu(a.data), _parents=(a,), op="relu")
     out._backward = lambda g: a._accum(g * (a.data > 0.0))
     return out
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-x))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    s = 1.0 / (1.0 + np.exp(-a.data))
+    s = _sigmoid(a.data)
     out = Tensor(s, _parents=(a,), op="sigmoid")
     out._backward = lambda g: a._accum(g * s * (1.0 - s))
     return out
@@ -206,11 +233,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
+        raise ShapeError("linear", x.shape, w.shape, b.shape)
+    return x @ w + b
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map x @ w + b with x: (B, N), w: (N, M), b: (M,)."""
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0] or b.data.shape != (w.shape[1],):
-        raise ShapeError("linear", x.shape, w.shape, b.shape)
-    out = Tensor(x.data @ w.data + b.data, _parents=(x, w, b), op="linear")
+    out = Tensor(_linear(x.data, w.data, b.data), _parents=(x, w, b), op="linear")
 
     def bwd(g):
         if x.needs_grad:
@@ -262,6 +293,32 @@ def _conv_input_grad(gy: np.ndarray, taps: np.ndarray, shape) -> np.ndarray:
     return gxp[:, ph : ph + h, pw : pw + w].transpose(0, 3, 1, 2)
 
 
+def _offsets(kh: int, kw: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(kh) for j in range(kw)]
+
+
+def _conv2d(x: np.ndarray, w: np.ndarray, bias: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """conv2d's forward: the (B, K, H, W) output, a channel-last view, and the padded
+    channel-last input that the backward pass reads again."""
+    if x.ndim != 4 or w.ndim != 4 or x.shape[1] != w.shape[1]:
+        raise ShapeError("conv2d", x.shape, w.shape)
+    if bias.shape != (w.shape[0],):
+        raise ShapeError("conv2d.bias", bias.shape, w.shape)
+    k, c, kh, kw = w.shape
+    b, _, h, wd = x.shape
+    xp = _pad_channel_last(x, kh // 2, kw // 2)
+    taps = w.transpose(2, 3, 1, 0)  # (kh, kw, C, K), a view
+    if c >= SHIFTED_GEMM_MIN_CHANNELS:
+        y = _tap(xp, 0, 0, h, wd) @ taps[0, 0]
+        for i, j in _offsets(kh, kw)[1:]:
+            y += _tap(xp, i, j, h, wd) @ taps[i, j]
+    else:
+        cols = np.concatenate([xp[:, i : i + h, j : j + wd] for i, j in _offsets(kh, kw)], axis=-1)
+        y = cols.reshape(-1, kh * kw * c) @ taps.reshape(-1, k)
+    y += bias
+    return y.reshape(b, h, wd, k).transpose(0, 3, 1, 2), xp
+
+
 def conv2d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     """Stride-1 'same' convolution. x: (B,C,H,W), w: (K,C,kh,kw), bias: (K,).
 
@@ -272,30 +329,17 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     (kh, kw, C) patch matrix. The weight gradient is one GEMM per tap on the
     same windows, the input gradient `_conv_input_grad`.
     """
-    if x.data.ndim != 4 or w.data.ndim != 4 or x.shape[1] != w.shape[1]:
-        raise ShapeError("conv2d", x.shape, w.shape)
-    if bias.data.shape != (w.shape[0],):
-        raise ShapeError("conv2d.bias", bias.shape, w.shape)
+    y, xp = _conv2d(x.data, w.data, bias.data)
+    out = Tensor(y, _parents=(x, w, bias), op="conv2d")
     k, c, kh, kw = w.shape
-    b, _, h, wd = x.shape
-    xp = _pad_channel_last(x.data, kh // 2, kw // 2)
-    taps = w.data.transpose(2, 3, 1, 0)  # (kh, kw, C, K), a view
-    offsets = [(i, j) for i in range(kh) for j in range(kw)]
-    if c >= SHIFTED_GEMM_MIN_CHANNELS:
-        y = _tap(xp, 0, 0, h, wd) @ taps[0, 0]
-        for i, j in offsets[1:]:
-            y += _tap(xp, i, j, h, wd) @ taps[i, j]
-    else:
-        cols = np.concatenate([xp[:, i : i + h, j : j + wd] for i, j in offsets], axis=-1)
-        y = cols.reshape(-1, kh * kw * c) @ taps.reshape(-1, k)
-    y += bias.data
-    out = Tensor(y.reshape(b, h, wd, k).transpose(0, 3, 1, 2), _parents=(x, w, bias), op="conv2d")
+    _, _, h, wd = x.shape
+    taps = w.data.transpose(2, 3, 1, 0)
 
     def bwd(g):
         gy = g.transpose(0, 2, 3, 1).reshape(-1, k)  # (B*H*W, K)
         if w.needs_grad:
             gw = np.empty((kh, kw, c, k))
-            for i, j in offsets:
+            for i, j in _offsets(kh, kw):
                 gw[i, j] = _tap(xp, i, j, h, wd).T @ gy
             w._accum(gw.transpose(3, 2, 0, 1))
         if bias.needs_grad:
@@ -307,13 +351,23 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     return out
 
 
+def _avgpool2(x: np.ndarray) -> np.ndarray:
+    """Each 2x2 window as (((x00 + x01) + x10) + x11) / 4, added from four strided views.
+
+    That is the order numpy's mean(axis=(3, 5)) over the (B, C, H/2, 2, W/2, 2)
+    view of a channel-last input sums in, and every pool in this pipeline
+    receives a channel-last input: conv2d returns a channel-last view and relu
+    keeps its layout. On a C-contiguous input that mean pairs the window as
+    (x00 + x01) + (x10 + x11), which can differ from this in the last bit.
+    """
+    if x.ndim != 4 or x.shape[2] % 2 or x.shape[3] % 2:
+        raise ShapeError("avgpool2", x.shape)
+    return (((x[:, :, 0::2, 0::2] + x[:, :, 0::2, 1::2]) + x[:, :, 1::2, 0::2]) + x[:, :, 1::2, 1::2]) / 4.0
+
+
 def avgpool2(x: Tensor) -> Tensor:
     """2x2 average pooling, stride 2. Spatial extents must be even."""
-    b, c, h, w = x.shape
-    if h % 2 or w % 2:
-        raise ShapeError("avgpool2", x.shape)
-    y = x.data.reshape(b, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
-    out = Tensor(y, _parents=(x,), op="avgpool2")
+    out = Tensor(_avgpool2(x.data), _parents=(x,), op="avgpool2")
 
     def bwd(g):
         x._accum(np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) * 0.25)
@@ -322,12 +376,15 @@ def avgpool2(x: Tensor) -> Tensor:
     return out
 
 
+def _upsample2(x: np.ndarray) -> np.ndarray:
+    if x.ndim != 4:
+        raise ShapeError("upsample2", x.shape)
+    return np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
+
+
 def upsample2(x: Tensor) -> Tensor:
     """Nearest-neighbor x2 upsampling on (B,C,H,W)."""
-    if x.data.ndim != 4:
-        raise ShapeError("upsample2", x.shape)
-    y = np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3)
-    out = Tensor(y, _parents=(x,), op="upsample2")
+    out = Tensor(_upsample2(x.data), _parents=(x,), op="upsample2")
 
     def bwd(g):
         b, c, h, w = x.shape
@@ -337,12 +394,16 @@ def upsample2(x: Tensor) -> Tensor:
     return out
 
 
+def _gap(x: np.ndarray) -> np.ndarray:
+    if x.ndim != 4:
+        raise ShapeError("gap", x.shape)
+    return x.mean(axis=(2, 3))
+
+
 def gap(x: Tensor) -> Tensor:
     """Global average pooling (B,C,H,W) -> (B,C)."""
-    if x.data.ndim != 4:
-        raise ShapeError("gap", x.shape)
-    b, c, h, w = x.shape
-    out = Tensor(x.data.mean(axis=(2, 3)), _parents=(x,), op="gap")
+    out = Tensor(_gap(x.data), _parents=(x,), op="gap")
+    h, w = x.shape[2:]
 
     def bwd(g):
         x._accum(np.broadcast_to(g[:, :, None, None], x.data.shape) / (h * w))
@@ -351,11 +412,15 @@ def gap(x: Tensor) -> Tensor:
     return out
 
 
-def concat_channels(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 4 or b.data.ndim != 4 or a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
+def _concat_channels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if a.ndim != 4 or b.ndim != 4 or a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
         raise ShapeError("concat_channels", a.shape, b.shape)
+    return np.concatenate([a, b], axis=1)
+
+
+def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     ca = a.shape[1]
-    out = Tensor(np.concatenate([a.data, b.data], axis=1), _parents=(a, b), op="concat_channels")
+    out = Tensor(_concat_channels(a.data, b.data), _parents=(a, b), op="concat_channels")
 
     def bwd(g):
         a._accum(g[:, :ca])
@@ -383,11 +448,14 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
 # -- reductions / distributional ----------------------------------------------
 
 
+def _softmax(x: np.ndarray) -> np.ndarray:
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def softmax(a: Tensor) -> Tensor:
     """Softmax along the last axis."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = _softmax(a.data)
     out = Tensor(p, _parents=(a,), op="softmax")
 
     def bwd(g):
@@ -462,6 +530,45 @@ def kld(p: Tensor, p_hat: Tensor) -> Tensor:
 
     out._backward = bwd
     return out
+
+
+# -- tape-free inference ------------------------------------------------------
+
+
+def _checked(op: str, kernel):
+    def run(*args):
+        return _check_finite(op, kernel(*args))
+
+    return run
+
+
+# The network ops on plain float64 arrays: each runs the Tensor op's kernel and checks its output once,
+# under the op's name, and builds no node. `constant` takes an array as it is.
+arrays = SimpleNamespace(
+    constant=_as_array,
+    add=_checked("add", _add),
+    mul=_checked("mul", _mul),
+    relu=_checked("relu", _relu),
+    sigmoid=_checked("sigmoid", _sigmoid),
+    linear=_checked("linear", _linear),
+    conv2d=_checked("conv2d", lambda x, w, bias: _conv2d(x, w, bias)[0]),
+    avgpool2=_checked("avgpool2", _avgpool2),
+    upsample2=_checked("upsample2", _upsample2),
+    gap=_checked("gap", _gap),
+    concat_channels=_checked("concat_channels", _concat_channels),
+    softmax=_checked("softmax", _softmax),
+)
+
+
+def ops(x):
+    """The ops to run a network on `x` with: this module's Tensor ops for a Tensor, which build the
+    tape, or `arrays` for an ndarray, which build none. Both compute the same values."""
+    return sys.modules[__name__] if isinstance(x, Tensor) else arrays
+
+
+def value(x) -> np.ndarray:
+    """The array of a Tensor, or an array itself."""
+    return x.data if isinstance(x, Tensor) else x
 
 
 # -- optimizer ----------------------------------------------------------------

@@ -102,30 +102,31 @@ def init_spe_params(shape: SpeLayerShape, rng: np.random.Generator, prefix: str)
     }
 
 
-def spe_transform(f_s_i: ad.Tensor, f_k_last: ad.Tensor, params: dict[str, ad.Tensor],
-                  shape: SpeLayerShape, prefix: str) -> ad.Tensor:
+def spe_transform(f_s_i, f_k_last, params: dict, shape: SpeLayerShape, prefix: str):
     """u = decoder(concat(bottleneck(f_s_i) pooled to latent size, f_k_last)).
 
     The decoder output is projected back to the tapped layer's spatial size by
-    nearest-neighbor upsampling. Differentiable end-to-end.
+    nearest-neighbor upsampling. Differentiable end-to-end on Tensors; on
+    ndarrays it runs tape-free (`ad.ops`).
     """
     if f_s_i.shape[1] != shape.channels or f_s_i.shape[2] != shape.size:
         raise ad.ShapeError("spe_transform", f_s_i.shape, (shape.channels, shape.size, shape.size))
-    h = ad.conv2d(f_s_i, params[f"{prefix}_bottleneck_w"], params[f"{prefix}_bottleneck_b"])
+    op = ad.ops(f_s_i)
+    h = op.conv2d(f_s_i, params[f"{prefix}_bottleneck_w"], params[f"{prefix}_bottleneck_b"])
     for _ in range(shape.pool_steps):
-        h = ad.avgpool2(h)
-    h = ad.concat_channels(h, f_k_last)
-    h = ad.conv2d(h, params[f"{prefix}_decoder_w"], params[f"{prefix}_decoder_b"])
+        h = op.avgpool2(h)
+    h = op.concat_channels(h, f_k_last)
+    h = op.conv2d(h, params[f"{prefix}_decoder_w"], params[f"{prefix}_decoder_b"])
     for _ in range(shape.pool_steps):
-        h = ad.upsample2(h)
+        h = op.upsample2(h)
     return h
 
 
-def csp_mix(f_s_i: ad.Tensor, u_k_i: ad.Tensor, mask: np.ndarray) -> ad.Tensor:
+def csp_mix(f_s_i, u_k_i, mask: np.ndarray):
     """f' = (1 - M) * f_s + M * u on (B, C, H, W) features, M broadcast over channels.
 
     `mask` is one (H, W) mask for the whole batch or a (B, H, W) stack with
-    one mask per batch element.
+    one mask per batch element. Tensors build the tape, ndarrays run tape-free.
     """
     if f_s_i.shape != u_k_i.shape:
         raise ad.ShapeError("csp_mix", f_s_i.shape, u_k_i.shape)
@@ -135,4 +136,5 @@ def csp_mix(f_s_i: ad.Tensor, u_k_i: ad.Tensor, mask: np.ndarray) -> ad.Tensor:
     if not np.all((mask == 0.0) | (mask == 1.0)):
         raise ValueError("csp_mix requires a binary mask")
     m = np.broadcast_to(mask if mask.ndim == 2 else mask[:, None], f_s_i.shape).copy()
-    return ad.add(ad.mul(f_s_i, ad.constant(1.0 - m)), ad.mul(u_k_i, ad.constant(m)))
+    op = ad.ops(f_s_i)
+    return op.add(op.mul(f_s_i, op.constant(1.0 - m)), op.mul(u_k_i, op.constant(m)))

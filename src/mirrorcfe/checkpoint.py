@@ -44,7 +44,8 @@ def save_checkpoint(path: str | Path, role: str, tensors: dict[str, np.ndarray],
 
 
 def load_checkpoint(path: str | Path) -> tuple[str, dict[str, np.ndarray], dict]:
-    """Role, tensors and config of an MCFE1 file; a malformed file raises a ValueError naming it."""
+    """Role, tensors and config of an MCFE1 file; a malformed file, or a tensor holding NaN or Inf,
+    raises a ValueError naming it."""
     with open(path, "rb") as f:
         raw = f.read()
     if raw[: len(MAGIC)] != MAGIC:
@@ -72,6 +73,8 @@ def load_checkpoint(path: str | Path) -> tuple[str, dict[str, np.ndarray], dict]
             raise ValueError(f"{path}: tensor {name!r} of shape {shape} at offset {offset} "
                              f"runs past the {len(raw) - base}-byte payload")
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=base + offset)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path}: tensor {name!r} holds non-finite values")
         tensors[name] = arr.reshape(shape).astype(np.float64)
     return role, tensors, config
 

@@ -2,7 +2,9 @@
 
 Two conv stages (3x3, ReLU, 2x2 average pooling) followed by global average
 pooling and an affine head. The same graph code backs training and inference,
-so featurize reproduces the training-time features bit-exactly.
+so featurize reproduces the training-time features bit-exactly: on Tensors it
+builds the tape, on the plain parameter arrays it runs the same kernels
+without one.
 Once trained, parameters live in plain numpy arrays and nothing outside
 train_classifier writes to them.
 """
@@ -91,49 +93,51 @@ def init_params(config: ClassifierConfig, seed: int) -> ClassifierParams:
     return ClassifierParams(config, tensors)
 
 
-def _as_graph_params(params: ClassifierParams, trainable: bool) -> dict[str, ad.Tensor]:
-    return {k: ad.Tensor(v.copy() if trainable else v, trainable=trainable) for k, v in params.tensors.items()}
+def encode_graph(graph_params: dict, config: ClassifierConfig, x) -> dict:
+    """The conv stages and GAP on a (B, C, H, W) batch: per-stage maps f{i}, f_last and z.
 
-
-def encode_graph(graph_params: dict[str, ad.Tensor], config: ClassifierConfig, x: ad.Tensor) -> dict[str, ad.Tensor]:
-    """The conv stages and GAP on a (B, C, H, W) batch: per-stage maps f{i}, f_last and z."""
-    out: dict[str, ad.Tensor] = {}
+    Tensor x and parameters build the tape; ndarrays run the same kernels
+    without one (`ad.ops`) and return ndarrays.
+    """
+    op = ad.ops(x)
+    out = {}
     h = x
     for i in range(len(config.stage_channels)):
-        h = ad.relu(ad.conv2d(h, graph_params[f"conv{i}_w"], graph_params[f"conv{i}_b"]))
-        h = ad.avgpool2(h)
+        h = op.relu(op.conv2d(h, graph_params[f"conv{i}_w"], graph_params[f"conv{i}_b"]))
+        h = op.avgpool2(h)
         out[f"f{i}"] = h
     out["f_last"] = h
-    out["z"] = ad.gap(h)
+    out["z"] = op.gap(h)
     return out
 
 
-def forward_graph(graph_params: dict[str, ad.Tensor], config: ClassifierConfig, x: ad.Tensor) -> dict[str, ad.Tensor]:
-    """Full forward on a (B, C, H, W) batch; returns every intermediate."""
+def forward_graph(graph_params: dict, config: ClassifierConfig, x) -> dict:
+    """Full forward on a (B, C, H, W) batch, Tensors or ndarrays as in `encode_graph`; returns every
+    intermediate."""
+    op = ad.ops(x)
     out = encode_graph(graph_params, config, x)
-    out["logits"] = ad.linear(out["z"], graph_params["head_w"], graph_params["head_b"])
-    out["probs"] = ad.softmax(out["logits"])
+    out["logits"] = op.linear(out["z"], graph_params["head_w"], graph_params["head_b"])
+    out["probs"] = op.softmax(out["logits"])
     return out
 
 
 def featurize_batch(params: ClassifierParams, images) -> list[FeatureStack]:
     """Run (C, H, W) images through the frozen classifier, FEATURIZE_CHUNK per forward pass.
 
-    The conv stages run on the whole chunk, which is bit-equal to one image at
-    a time. The head runs per row through `head`: a batched `z @ W` (gemm)
-    differs from the one-row product (gemv) in the last bits.
+    The conv stages run tape-free on the whole chunk, which is bit-equal to
+    one image at a time. The head runs per row through `head`: a batched
+    `z @ W` (gemm) differs from the one-row product (gemv) in the last bits.
     """
     cfg = params.config
     shape = (cfg.in_channels, cfg.image_size, cfg.image_size)
     for image in images:
         if image.shape != shape:
             raise ad.ShapeError("featurize", image.shape, shape)
-    gp = _as_graph_params(params, trainable=False)
     stacks = []
     for start in range(0, len(images), FEATURIZE_CHUNK):
-        nodes = encode_graph(gp, cfg, ad.constant(np.stack(images[start : start + FEATURIZE_CHUNK])))
-        maps = [nodes[f"f{i}"].data for i in range(len(cfg.stage_channels))]
-        for row, z in enumerate(nodes["z"].data):
+        nodes = encode_graph(params.tensors, cfg, np.stack(images[start : start + FEATURIZE_CHUNK]))
+        maps = [nodes[f"f{i}"] for i in range(len(cfg.stage_channels))]
+        for row, z in enumerate(nodes["z"]):
             logits, probs = head(params.head_w, params.head_b, z)
             stacks.append(FeatureStack(features=[m[row] for m in maps], z=z, logits=logits, probs=probs))
     return stacks
@@ -165,11 +169,10 @@ def classify(params: ClassifierParams, z: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def accuracy(params: ClassifierParams, ds: LabeledDataset, chunk: int = 128) -> float:
-    gp = _as_graph_params(params, trainable=False)
+    """Share of `ds` whose argmax class is its label, by tape-free passes of `chunk` images."""
     correct = 0
     for start in range(0, len(ds), chunk):
-        x = np.stack(ds.images[start : start + chunk])
-        probs = forward_graph(gp, params.config, ad.constant(x))["probs"].data
+        probs = forward_graph(params.tensors, params.config, np.stack(ds.images[start : start + chunk]))["probs"]
         correct += int(np.sum(np.argmax(probs, axis=1) == np.asarray(ds.labels[start : start + chunk])))
     return correct / len(ds)
 
@@ -233,7 +236,7 @@ def train_classifier(train_ds: LabeledDataset, test_ds: LabeledDataset | None,
     if config is None:
         config = ClassifierConfig(num_classes=len(set(train_ds.labels)))
     params = init_params(config, hyper.seed)
-    gp = _as_graph_params(params, trainable=True)
+    gp = {k: ad.Tensor(v.copy(), trainable=True) for k, v in params.tensors.items()}
     state = ad.AdamState(gp, lr=hyper.lr)
     rng = np.random.default_rng(hyper.seed)
     n = len(train_ds)

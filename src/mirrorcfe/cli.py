@@ -77,15 +77,42 @@ def write_dataset_dir(out_dir: Path, train: LabeledDataset, test: LabeledDataset
 
 
 def read_dataset_dir(data_dir: Path, splits: tuple[str, ...] = ("train", "test")) -> tuple[LabeledDataset, ...]:
-    """The named splits of a dataset directory, in that order; images of other splits are not read."""
+    """The named splits of a dataset directory, in that order; images of other splits are not read.
+
+    A labels.csv without a filename, label or split column, or with a label
+    that is not an integer, raises a one-line ValueError naming it.
+    """
     datasets = {name: LabeledDataset(split=name) for name in splits}
-    with open(data_dir / "labels.csv", newline="") as f:
-        for row in csv.DictReader(f):
+    path = data_dir / "labels.csv"
+    with open(path, newline="") as f:
+        reader = csv.DictReader(f)
+        missing = {"filename", "label", "split"} - set(reader.fieldnames or ())
+        if missing:
+            raise ValueError(f"{path}: missing column(s) {sorted(missing)}")
+        for row in reader:
             ds = datasets.get(row["split"])
             if ds is not None:
+                try:
+                    label = int(row["label"])
+                except (TypeError, ValueError):
+                    raise ValueError(f"{path}: line {reader.line_num}: label {row['label']!r} "
+                                     "is not an integer") from None
                 ds.images.append(read_pgm(data_dir / row["filename"]))
-                ds.labels.append(int(row["label"]))
+                ds.labels.append(label)
     return tuple(datasets.values())
+
+
+def parse_pairs(spec: str) -> list[tuple[int, int]]:
+    """Class pairs from "s:t,s:t,..."; anything else raises a one-line ValueError."""
+    pairs = []
+    for item in spec.split(","):
+        try:
+            s, t = (int(x) for x in item.split(":"))
+        except ValueError:
+            raise ValueError(f"pairs: expected comma-separated s:t class pairs such as 0:1,1:0, "
+                             f"got {item!r}") from None
+        pairs.append((s, t))
+    return pairs
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -176,15 +203,15 @@ def cmd_explain(args) -> None:
 
 def cmd_evaluate(args) -> None:
     section = load_config(args.config).get("eval", {}) if args.config else {}
+    pairs_spec = args.pairs if args.pairs is not None else section.get("pairs", "0:1")
+    if isinstance(pairs_spec, str):
+        pairs = parse_pairs(pairs_spec)
+    else:
+        pairs = [tuple(p) for p in pairs_spec]
     clf = load_classifier(args.classifier)
     gen = load_generator(args.generator)
     check_generator_fits(gen, clf)
     (test_ds,) = read_dataset_dir(Path(args.data), ("test",))
-    pairs_spec = args.pairs or section.get("pairs", "0:1")
-    if isinstance(pairs_spec, str):
-        pairs = [tuple(int(x) for x in p.split(":")) for p in pairs_spec.split(",")]
-    else:
-        pairs = [tuple(p) for p in pairs_spec]
     # only the values a flag or the config file sets; the defaults live in evaluate_suite
     options = {key: section[key] for key in ("steps", "blur_size", "blur_sigma", "max_per_pair") if key in section}
     options.update((key, getattr(args, key)) for key in ("steps", "blur_size", "blur_sigma")

@@ -11,6 +11,7 @@ swap while the remaining logits stay put.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -138,12 +139,13 @@ class KfePoint:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """KfePoints on a uniform k-grid of `steps` points from z_s (k=0) to k=1.
+    """A uniform k-grid of `steps` points from z_s (k=0) to k=1, kept as arrays.
 
-    The step's scale and direction are computed once; the grid's latents are
-    one array, each row bit-equal to `position` at its k, and the head runs on
-    the whole grid in one product. `point_at`, which the first-CFE bisection
-    calls, runs the head on its one latent.
+    The step's scale and direction are computed once; `grid` holds the
+    latents, one row per k in `ks`, each bit-equal to `position` at its k, and
+    the head runs on the whole grid in one product (`logits`, `probs`).
+    `points` builds the grid's KfePoints when first read. `point_at` runs
+    the head on one latent; `first_cfe` returns its point through it.
     """
 
     z_s: np.ndarray
@@ -152,20 +154,27 @@ class Trajectory:
     b: np.ndarray
     z_r_prime: np.ndarray | None = None
     steps: int = 21
-    points: tuple[KfePoint, ...] = field(init=False)
+    ks: np.ndarray = field(init=False, repr=False, compare=False)
+    grid: np.ndarray = field(init=False, repr=False, compare=False)  # (steps, N)
+    logits: np.ndarray = field(init=False, repr=False, compare=False)  # (steps, |classes|)
+    probs: np.ndarray = field(init=False, repr=False, compare=False)
     _scale_direction: tuple[float, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         scale, direction = _travel(self.z_s, self.mirror, self.z_r_prime)
-        object.__setattr__(self, "_scale_direction", (scale, direction))
         ks = np.linspace(0.0, 1.0, self.steps)
         grid = self.z_s + (scale * ks)[:, None] * direction
         grid[0] = self.z_s  # k=0 is a copy of z_s, as in `position`: a zero step would turn -0.0 into 0.0
         logits, probs = head(self.W, self.b, grid)
-        q_pairs = pair_confidence(grid, self.mirror)
-        object.__setattr__(self, "points", tuple(
-            KfePoint(k=float(k), z=z, q_pair=float(q), logits=lg, p_multi=p)
-            for k, z, q, lg, p in zip(ks, grid, q_pairs, logits, probs)))
+        for name, value in (("_scale_direction", (scale, direction)), ("ks", ks), ("grid", grid),
+                            ("logits", logits), ("probs", probs)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def points(self) -> tuple[KfePoint, ...]:
+        q_pairs = pair_confidence(self.grid, self.mirror)
+        return tuple(KfePoint(k=float(k), z=z, q_pair=float(q), logits=lg, p_multi=p)
+                     for k, z, q, lg, p in zip(self.ks, self.grid, q_pairs, self.logits, self.probs))
 
     def latent_at(self, k: float) -> np.ndarray:
         return _step(self.z_s, k, *self._scale_direction)
@@ -178,7 +187,7 @@ class Trajectory:
 
 def sample_trajectory(z_s: np.ndarray, mirror: Mirror, W: np.ndarray, b: np.ndarray,
                       steps: int = 21, z_r_prime: np.ndarray | None = None) -> Trajectory:
-    """Uniform k-grid of KfePoints from z_s (k=0) to the reflection (k=1), z_r_prime if given."""
+    """Uniform k-grid from z_s (k=0) to the reflection (k=1), z_r_prime if given."""
     if steps < 2:
         raise ValueError(f"need at least 2 steps, got {steps}")
     return Trajectory(z_s=z_s, mirror=mirror, W=W, b=b, z_r_prime=z_r_prime, steps=steps)
@@ -194,28 +203,30 @@ def _leads(logits: np.ndarray, target: int) -> np.ndarray:
 def first_cfe(trajectory: Trajectory, tol: float = 1e-3) -> KfePoint:
     """Smallest-k point whose multi-class prediction is the target, via bisection.
 
-    Scans the trajectory grid for the first flip, then bisects between the
-    last unflipped and first flipped grid points until |delta k| <= tol. A
-    point counts as flipped only when the target leads by more than
-    FLIP_MARGIN, so a flip at the binary projection k = 0.5 is reported as
-    the first bisection point past it, whatever the last bits of the tie.
+    Scans the trajectory grid's logits for the first flip, then bisects
+    between the last unflipped and first flipped grid points until
+    |delta k| <= tol, on the head's logits at each midpoint. A point counts as
+    flipped only when the target leads by more than FLIP_MARGIN, so a flip at
+    the binary projection k = 0.5 is reported as the first bisection point
+    past it, whatever the last bits of the tie. Only the returned point is a
+    KfePoint.
     """
-    if len(trajectory.points) < FIRST_CFE_MIN_STEPS:
+    if trajectory.steps < FIRST_CFE_MIN_STEPS:
         raise ValueError(f"first_cfe needs a trajectory of at least {FIRST_CFE_MIN_STEPS} steps")
     t = trajectory.mirror.target
-    flips = _leads(np.stack([pt.logits for pt in trajectory.points]), t)
+    flips = _leads(trajectory.logits, t)
     if not flips.any():
         raise NoFlipError(
             f"prediction never flips to class {t} by k=1 "
-            f"(final argmax {int(np.argmax(trajectory.points[-1].p_multi))})")
+            f"(final argmax {int(np.argmax(trajectory.probs[-1]))})")
     flip_idx = int(np.argmax(flips))
     if flip_idx == 0:
         return trajectory.points[0]
-    lo = trajectory.points[flip_idx - 1].k
-    hi = trajectory.points[flip_idx].k
+    lo = float(trajectory.ks[flip_idx - 1])
+    hi = float(trajectory.ks[flip_idx])
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _leads(trajectory.point_at(mid).logits, t):
+        if _leads(head(trajectory.W, trajectory.b, trajectory.latent_at(mid))[0], t):
             hi = mid
         else:
             lo = mid

@@ -127,20 +127,21 @@ def init_discriminator(clf_cfg, seed: int) -> DiscriminatorParams:
     })
 
 
-def ssc_skip(gp: dict[str, ad.Tensor], config: dict, clf: ClassifierParams, f_s_first: np.ndarray,
-             f_input: ad.Tensor, sources, targets, ks) -> ad.Tensor:
+def ssc_skip(gp: dict, config: dict, clf: ClassifierParams, f_s_first: np.ndarray,
+             f_input, sources, targets, ks):
     """CSP-mixed skip features of B elements, for training and inference alike.
 
     Element i mixes its source image's first-stage features f_s_first[i] with
     their SPE edit under the CAM prior mask of (sources[i], targets[i], ks[i]),
     taken on its generator input f_input[i] and thresholded within the
-    generator's own bounds config["rho_lower"], config["rho_upper"].
+    generator's own bounds config["rho_lower"], config["rho_upper"]. A Tensor
+    f_input builds the tape, an ndarray runs tape-free (`ad.ops`).
     """
     shape = _spe_shape(clf.config)
-    f_s = ad.constant(f_s_first)
+    f_s = ad.ops(f_input).constant(f_s_first)
     u = camlib.spe_transform(f_s, f_input, gp, shape, "spe0")
     masks = []
-    for f_k, s, t, k in zip(f_input.data, sources, targets, ks):
+    for f_k, s, t, k in zip(ad.value(f_input), sources, targets, ks):
         cams = camlib.cam(clf.head_w, f_k)
         thr = camlib.rho(k, config["rho_lower"], config["rho_upper"])
         pm = camlib.prior_mask(cams.normalized[s], cams.normalized[t], thr, k, {0: (shape.size, shape.size)})
@@ -148,19 +149,22 @@ def ssc_skip(gp: dict[str, ad.Tensor], config: dict, clf: ClassifierParams, f_s_
     return camlib.csp_mix(f_s, u, np.stack(masks))
 
 
-def generator_forward(gp: dict[str, ad.Tensor], config: dict, clf: ClassifierParams, f_s_first: np.ndarray,
-                      f_input: ad.Tensor, sources, targets, ks) -> ad.Tensor:
+def generator_forward(gp: dict, config: dict, clf: ClassifierParams, f_s_first: np.ndarray,
+                      f_input, sources, targets, ks):
     """Decode (B, C_l, H_l, W_l) features to (B, C, H, W) images in (0, 1).
 
     An SSC generator (one with `g_fuse_w`) fuses at its first layer the
-    `ssc_skip` of this context; a plain generator ignores the context.
+    `ssc_skip` of this context; a plain generator ignores the context. Tensor
+    f_input and weights build the tape; ndarrays run the same kernels without
+    one and return an ndarray.
     """
-    h = ad.relu(ad.conv2d(ad.upsample2(f_input), gp["g_conv1_w"], gp["g_conv1_b"]))
+    op = ad.ops(f_input)
+    h = op.relu(op.conv2d(op.upsample2(f_input), gp["g_conv1_w"], gp["g_conv1_b"]))
     if "g_fuse_w" in gp:
         skip = ssc_skip(gp, config, clf, f_s_first, f_input, sources, targets, ks)
-        h = ad.relu(ad.conv2d(ad.concat_channels(h, skip), gp["g_fuse_w"], gp["g_fuse_b"]))
-    h = ad.relu(ad.conv2d(ad.upsample2(h), gp["g_conv2_w"], gp["g_conv2_b"]))
-    return ad.sigmoid(ad.conv2d(h, gp["g_out_w"], gp["g_out_b"]))
+        h = op.relu(op.conv2d(op.concat_channels(h, skip), gp["g_fuse_w"], gp["g_fuse_b"]))
+    h = op.relu(op.conv2d(op.upsample2(h), gp["g_conv2_w"], gp["g_conv2_b"]))
+    return op.sigmoid(op.conv2d(h, gp["g_out_w"], gp["g_out_b"]))
 
 
 def discriminator_forward(dp: dict[str, ad.Tensor], x: ad.Tensor) -> ad.Tensor:
@@ -369,15 +373,14 @@ def generate_images(gen: GeneratorParams, clf: ClassifierParams, f_inputs, sourc
 
     Row i's SSC context is its source image's FeatureStack source_stacks[i],
     its class pair and its step factor ks[i]; a plain generator ignores it.
-    A chunk decodes bit-equal to its rows one at a time.
+    A chunk decodes tape-free, bit-equal to its rows one at a time.
     """
-    gp = {name: ad.constant(v) for name, v in gen.tensors.items()}
     images = []
     for start in range(0, len(f_inputs), DECODE_CHUNK):
         rows = slice(start, start + DECODE_CHUNK)
-        x = generator_forward(gp, gen.config, clf, np.stack([st.features[0] for st in source_stacks[rows]]),
-                              ad.constant(np.stack(f_inputs[rows])), sources[rows], targets[rows], ks[rows])
-        images.extend(x.data)
+        x = generator_forward(gen.tensors, gen.config, clf, np.stack([st.features[0] for st in source_stacks[rows]]),
+                              np.stack(f_inputs[rows]), sources[rows], targets[rows], ks[rows])
+        images.extend(x)
     return images
 
 

@@ -7,6 +7,7 @@ plumbing. The acceptance suite trains the real desk-scale artifacts itself.
 import numpy as np
 import pytest
 
+import mirrorcfe.autodiff as ad
 from mirrorcfe.classifier import ClassifierConfig, TrainHyper, train_classifier
 from mirrorcfe.dataset import DatasetConfig, generate_dataset, split
 from mirrorcfe.training import TrainConfig, train_generator
@@ -33,3 +34,21 @@ def tiny_generator(tiny_sets, tiny_classifier):
     cfg = TrainConfig(epochs=2, batch_size=4, seed=0)
     gen, dis, history = train_generator(clf, train_ds, cfg)
     return gen, dis, history
+
+
+@pytest.fixture
+def count_tensors(monkeypatch):
+    """Call to start counting Tensor constructions; returns the list each one's op name is appended to."""
+
+    def start() -> list[str]:
+        built = []
+        init = ad.Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("op", "leaf"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
+        return built
+
+    return start

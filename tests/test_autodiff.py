@@ -147,6 +147,17 @@ def test_gap_hand_case():
     assert float(ad.gap(x).data[0, 0]) == pytest.approx(2.5)
 
 
+def test_avgpool2_sums_as_numpy_mean_does_on_channel_last_input():
+    # every pipeline pool reads a conv or relu output, which is channel-last in memory; there the strided adds
+    # give numpy's mean over the 2x2 windows bit for bit, so the artifacts did not move
+    rng = np.random.default_rng(3)
+    for b, c, h, w in [(64, 8, 16, 16), (64, 16, 8, 8), (3, 16, 16, 16), (1, 40, 8, 8)]:
+        x = np.maximum(rng.normal(size=(b, h, w, c)), 0.0).transpose(0, 3, 1, 2)
+        want = x.reshape(b, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+        for got in (ad.avgpool2(ad.constant(x)).data, ad.arrays.avgpool2(x)):
+            assert got.tobytes() == want.tobytes()
+
+
 def test_softmax_rows_normalized_and_shift_invariant():
     rng = np.random.default_rng(1)
     logits = rng.normal(size=(8, 4))

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import mirrorcfe.autodiff as ad
-from mirrorcfe.classifier import (FEATURIZE_CHUNK, ClassifierConfig, accuracy, checkpoint_checksum,
-                                  classify, featurize, featurize_batch, init_params, load_classifier,
-                                  save_classifier)
+from mirrorcfe.classifier import (FEATURIZE_CHUNK, ClassifierConfig, ClassifierParams, accuracy,
+                                  checkpoint_checksum, classify, featurize, featurize_batch, forward_graph,
+                                  head, init_params, load_classifier, save_classifier)
+from mirrorcfe.dataset import LabeledDataset
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +56,45 @@ def test_featurize_batch_is_bit_equal_to_featurize(random_params, n):
 def test_featurize_batch_shape_check(random_params):
     with pytest.raises(ad.ShapeError):
         featurize_batch(random_params, [np.zeros((1, 16, 16)), np.zeros((1, 8, 8))])
+
+
+def test_tape_free_inference_is_bit_equal_to_the_tape(random_params, count_tensors):
+    # featurize_batch and accuracy run on plain arrays; every value matches forward_graph on Tensor constants
+    rng = np.random.default_rng(12)
+    n = FEATURIZE_CHUNK + 6
+    x = rng.uniform(0, 1, (n, 1, 16, 16))
+    labels = [int(c) for c in rng.integers(4, size=n)]
+    tape = forward_graph({k: ad.constant(v) for k, v in random_params.tensors.items()}, random_params.config,
+                         ad.constant(x))
+    tape_acc = int(np.sum(np.argmax(tape["probs"].data, axis=1) == labels)) / n
+
+    built = count_tensors()
+    free = forward_graph(random_params.tensors, random_params.config, x)
+    stacks = featurize_batch(random_params, list(x))
+    acc = accuracy(random_params, LabeledDataset(images=list(x), labels=labels))
+    assert built == []
+    ad.relu(ad.constant(x))
+    assert built == ["leaf", "relu"]  # the count sees the tape
+
+    assert set(free) == set(tape)
+    for key, node in tape.items():
+        assert type(free[key]) is np.ndarray and free[key].tobytes() == node.data.tobytes(), key
+    for row, stack in enumerate(stacks):
+        assert [f.tobytes() for f in stack.features] == [tape[f"f{i}"].data[row].tobytes() for i in range(2)]
+        assert stack.z.tobytes() == tape["z"].data[row].tobytes()
+        logits, probs = head(random_params.head_w, random_params.head_b, tape["z"].data[row])
+        assert (stack.logits.tobytes(), stack.probs.tobytes()) == (logits.tobytes(), probs.tobytes())
+    assert acc == tape_acc
+
+
+@pytest.mark.parametrize("name, op", [("conv0_w", "conv2d"), ("head_w", "linear")])
+def test_tape_free_non_finite_intermediate_names_its_op(random_params, name, op):
+    # finite weights whose products overflow: the first op with an infinite output is named
+    huge = ClassifierParams(random_params.config, {k: v.copy() for k, v in random_params.tensors.items()})
+    huge.tensors[name] = np.full_like(huge.tensors[name], 1e308)
+    ds = LabeledDataset(images=[np.full((1, 16, 16), 0.5)], labels=[0])
+    with np.errstate(over="ignore"), pytest.raises(ad.NumericOverflowError, match=f"^{op} produced non-finite"):
+        accuracy(huge, ds)
 
 
 def test_init_deterministic():

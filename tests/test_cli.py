@@ -221,6 +221,33 @@ def test_class_index_out_of_range(workdir, tmp_path, capsys, command, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("header, row, word", [
+    ("filename,label", "img_00000.pgm,0", "missing column(s) ['split']"),
+    ("filename,split", "img_00000.pgm,train", "missing column(s) ['label']"),
+    ("filename,label,split", "img_00000.pgm,zero,train", "line 2: label 'zero' is not an integer"),
+    ("filename,label,split", "img_00000.pgm,,train", "line 2: label '' is not an integer"),
+], ids=["no-split", "no-label", "word-label", "empty-label"])
+def test_malformed_labels_csv_one_error_line(tmp_path, capsys, header, row, word):
+    # these used to print "KeyError: 'split'" and "invalid literal for int() with base 10: 'zero'"
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "labels.csv").write_text(f"{header}\n{row}\n")
+    assert main(["train-classifier", "--data", str(data), "--out", str(tmp_path / "clf.ckpt")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ValueError:")
+    assert str(data / "labels.csv") in err[0] and word in err[0]
+
+
+@pytest.mark.parametrize("pairs", ["0-1", "0:1,2", "0:1:2", "a:b", ""])
+def test_malformed_pairs_one_error_line(workdir, tmp_path, capsys, pairs):
+    out = tmp_path / "r.csv"
+    assert main(["evaluate", "--data", str(workdir / "data"), "--classifier", str(workdir / "clf.ckpt"),
+                 "--generator", str(workdir / "gen.ckpt"), "--pairs", pairs, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ValueError:") and "s:t class pairs" in err[0]
+    assert not out.exists()
+
+
 def test_truncated_checkpoint_one_error_line(workdir, tmp_path, capsys):
     bad = tmp_path / "gen.ckpt"
     bad.write_bytes((workdir / "gen.ckpt").read_bytes()[:-8])

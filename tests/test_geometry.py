@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirrorcfe import geometry as geo
+from mirrorcfe.classifier import head
 
 
 def _mirror(w, b, s=0, t=1):
@@ -114,7 +117,7 @@ class TestTrajectoryAndFirstCfe:
         z_s = np.array([1.0, 0.0])
         m = geo.make_mirror(W, b, 0, 1)
         traj = geo.sample_trajectory(z_s, m, W, b, steps=21)
-        with pytest.raises(geo.NoFlipError):
+        with pytest.raises(geo.NoFlipError, match=r"^prediction never flips to class 1 by k=1 \(final argmax 2\)$"):
             geo.first_cfe(traj)
 
     def test_first_cfe_at_the_projection_is_not_decided_by_rounding(self):
@@ -180,12 +183,79 @@ class TestTrajectoryAndFirstCfe:
                 if tol == 0.0:
                     assert (pt.logits.tobytes(), pt.p_multi.tobytes()) == (logits.tobytes(), probs.tobytes())
 
+    def test_points_are_the_eager_grid_build(self):
+        # the lazily built points, bit for bit as Trajectory built them eagerly: one array grid, the head
+        # and the pair confidence each as one product over it
+        rng = np.random.default_rng(9)
+        for case in range(100):
+            n, c = int(rng.integers(2, 20)), int(rng.integers(2, 6))
+            W, b, z_s = rng.normal(size=(n, c)), rng.normal(size=c), rng.normal(size=n)
+            m = geo.make_mirror(W, b, 0, 1)
+            z_r = rng.normal(size=n) if case % 2 else None
+            steps = int(rng.integers(2, 40))
+            traj = geo.sample_trajectory(z_s, m, W, b, steps=steps, z_r_prime=z_r)
+            assert "points" not in vars(traj)  # nothing built until read
+            scale, direction = geo._travel(z_s, m, z_r)
+            ks = np.linspace(0.0, 1.0, steps)
+            grid = z_s + (scale * ks)[:, None] * direction
+            grid[0] = z_s
+            logits, probs = head(W, b, grid)
+            q = geo.pair_confidence(grid, m)
+            eager = [(float(k), z.tobytes(), float(qq), lg.tobytes(), p.tobytes())
+                     for k, z, qq, lg, p in zip(ks, grid, q, logits, probs)]
+            assert [(pt.k, pt.z.tobytes(), pt.q_pair, pt.logits.tobytes(), pt.p_multi.tobytes())
+                    for pt in traj.points] == eager
+            assert traj.points is traj.points
+
     def test_position_with_z_r_prime_interpolates(self):
         rng = np.random.default_rng(7)
         z, z_r = rng.normal(size=8), rng.normal(size=8)
         m = _mirror(rng.normal(size=8), 0.0)
         assert np.allclose(geo.position(z, m, 0.5, z_r), 0.5 * (z + z_r), atol=1e-12)
         assert np.array_equal(geo.position(z, m, 1.0, z_r), z + (z_r - z))
+
+
+def _first_cfe_through_points(traj: geo.Trajectory, tol: float = 1e-3) -> geo.KfePoint:
+    """first_cfe as it was written on KfePoints: scan `points`, bisect through `point_at`."""
+    t = traj.mirror.target
+    flips = geo._leads(np.stack([pt.logits for pt in traj.points]), t)
+    if not flips.any():
+        raise geo.NoFlipError(f"prediction never flips to class {t} by k=1 "
+                              f"(final argmax {int(np.argmax(traj.points[-1].p_multi))})")
+    i = int(np.argmax(flips))
+    if i == 0:
+        return traj.points[0]
+    lo, hi = traj.points[i - 1].k, traj.points[i].k
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if geo._leads(traj.point_at(mid).logits, t):
+            hi = mid
+        else:
+            lo = mid
+    return traj.point_at(hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 16), c=st.integers(2, 6),
+       scale=st.sampled_from([1e-3, 1e-1, 1.0, 10.0]), steps=st.integers(21, 41), multiclass=st.booleans())
+def test_first_cfe_on_the_logit_arrays_matches_the_point_bisection(seed, n, c, scale, steps, multiclass):
+    rng = np.random.default_rng(seed)
+    W, b, z_s = rng.normal(size=(n, c)) * scale, rng.normal(size=c), rng.normal(size=n)
+    s = int(np.argmax(z_s @ W + b))
+    t = int(rng.choice([i for i in range(c) if i != s]))
+    m = geo.make_mirror(W, b, s, t)
+    z_r = rng.normal(size=n) if multiclass else None
+    got, want = (geo.sample_trajectory(z_s, m, W, b, steps=steps, z_r_prime=z_r) for _ in range(2))
+    try:
+        expected = _first_cfe_through_points(want)
+    except geo.NoFlipError as err:
+        with pytest.raises(geo.NoFlipError) as info:
+            geo.first_cfe(got)
+        assert str(info.value) == str(err)
+        return
+    found = geo.first_cfe(got)
+    assert (found.k, found.z.tobytes(), found.logits.tobytes()) == (expected.k, expected.z.tobytes(),
+                                                                     expected.logits.tobytes())
 
 
 class TestLbfgs:

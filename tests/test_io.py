@@ -110,6 +110,21 @@ def test_checkpoint_rejects_malformed(tmp_path, corrupt, word):
     assert type(info.value) is ValueError and str(path) in str(info.value)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_rejects_non_finite_tensor(tmp_path, bad):
+    # a NaN weight used to load and fail only at explain/evaluate, as "leaf produced non-finite values"
+    from mirrorcfe.classifier import ClassifierConfig, init_params, load_classifier, save_classifier
+
+    params = init_params(ClassifierConfig(), seed=0)
+    params.tensors["head_w"][3, 1] = bad
+    path = tmp_path / "clf.ckpt"
+    save_classifier(path, params)
+    for load in (load_checkpoint, load_classifier):
+        with pytest.raises(ValueError, match="tensor 'head_w' holds non-finite values") as info:
+            load(path)
+        assert type(info.value) is ValueError and str(path) in str(info.value) and "\n" not in str(info.value)
+
+
 def _resaved(tmp_path, role, tensors, config, edit):
     # the same checkpoint with its tensors edited, as another writer might have left it
     path = tmp_path / f"{role}.ckpt"

@@ -5,12 +5,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import mirrorcfe.autodiff as ad
 from mirrorcfe import training
 from mirrorcfe.classifier import checkpoint_checksum, featurize
 from mirrorcfe.training import (DECODE_CHUNK, ClassifierMutatedError, TrainConfig, _draw_k,
                                 generate_image, generate_images, init_discriminator, init_generator,
                                 load_discriminator, load_generator, sample_kfe_batch,
-                                save_discriminator, save_generator, train_generator)
+                                generator_forward, save_discriminator, save_generator, train_generator)
 
 
 def test_config_validation():
@@ -148,7 +149,7 @@ def _recording_skip(calls, stop=False):
 
     def skip(gp, config, clf, f_s_first, f_input, sources, targets, ks):
         out = _SSC_SKIP(gp, config, clf, f_s_first, f_input, sources, targets, ks)
-        calls.append((f_s_first, f_input.data, list(sources), list(targets), list(ks), out.data))
+        calls.append((f_s_first, ad.value(f_input), list(sources), list(targets), list(ks), ad.value(out)))
         if stop:
             raise _Stop
         return out
@@ -251,6 +252,17 @@ def test_init_shapes():
     assert dis.tensors["d_head_w"].shape == (16, 1)
 
 
+def _decode_requests(train_ds, clf, n, seed):
+    """n random rows of generate_images arguments: f_inputs, stacks, sources, targets, ks."""
+    rng = np.random.default_rng(seed)
+    stacks = [featurize(clf, train_ds.images[i]) for i in rng.integers(len(train_ds), size=n)]
+    sources = [int(rng.integers(4)) for _ in range(n)]
+    targets = [(s + int(rng.integers(1, 4))) % 4 for s in sources]
+    ks = [float(k) for k in rng.uniform(size=n)]
+    f_inputs = [st.f_last + rng.normal(0.0, 0.1, st.f_last.shape) for st in stacks]
+    return f_inputs, stacks, sources, targets, ks
+
+
 @pytest.mark.parametrize("ssc", [False, True])
 def test_generate_images_is_bit_equal_to_generate_image(tiny_sets, tiny_classifier, ssc):
     # two full chunks and one partial, each row with its own context
@@ -258,15 +270,44 @@ def test_generate_images_is_bit_equal_to_generate_image(tiny_sets, tiny_classifi
     clf, _ = tiny_classifier
     gen = init_generator(clf.config, seed=0, ssc=ssc)
     gen.config.update(rho_lower=0.2, rho_upper=0.8)
-    rng = np.random.default_rng(4)
     n = 2 * DECODE_CHUNK + 1
-    stacks = [featurize(clf, train_ds.images[i]) for i in rng.integers(len(train_ds), size=n)]
-    sources = [int(rng.integers(4)) for _ in range(n)]
-    targets = [(s + int(rng.integers(1, 4))) % 4 for s in sources]
-    ks = [float(k) for k in rng.uniform(size=n)]
-    f_inputs = [st.f_last + rng.normal(0.0, 0.1, st.f_last.shape) for st in stacks]
+    f_inputs, stacks, sources, targets, ks = _decode_requests(train_ds, clf, n, seed=4)
     batch = generate_images(gen, clf, f_inputs, stacks, sources, targets, ks)
     assert len(batch) == n
     for i, x in enumerate(batch):
         one = generate_image(gen, clf, f_inputs[i], stacks[i], sources[i], targets[i], ks[i])
         assert x.tobytes() == one.tobytes()
+
+
+@pytest.mark.parametrize("ssc", [False, True])
+def test_generate_images_is_bit_equal_to_the_tape(tiny_sets, tiny_classifier, ssc, count_tensors):
+    # the tape-free decode builds no Tensor and matches generator_forward on Tensor weights, chunk by chunk
+    train_ds, _ = tiny_sets
+    clf, _ = tiny_classifier
+    gen = init_generator(clf.config, seed=1, ssc=ssc)
+    gen.config.update(rho_lower=0.2, rho_upper=0.8)
+    n = 2 * DECODE_CHUNK + 1
+    f_inputs, stacks, sources, targets, ks = _decode_requests(train_ds, clf, n, seed=5)
+    gp = {k: ad.constant(v) for k, v in gen.tensors.items()}
+    tape = []
+    for start in range(0, n, DECODE_CHUNK):
+        rows = slice(start, start + DECODE_CHUNK)
+        x = generator_forward(gp, gen.config, clf, np.stack([st.features[0] for st in stacks[rows]]),
+                              ad.constant(np.stack(f_inputs[rows])), sources[rows], targets[rows], ks[rows])
+        tape.extend(x.data)
+    built = count_tensors()
+    free = generate_images(gen, clf, f_inputs, stacks, sources, targets, ks)
+    assert built == []
+    assert [x.tobytes() for x in free] == [x.tobytes() for x in tape]
+
+
+@pytest.mark.parametrize("ssc", [False, True])
+def test_tape_free_decode_non_finite_names_its_op(tiny_sets, tiny_classifier, ssc):
+    train_ds, _ = tiny_sets
+    clf, _ = tiny_classifier
+    gen = init_generator(clf.config, seed=0, ssc=ssc)
+    gen.config.update(rho_lower=0.2, rho_upper=0.8)
+    gen.tensors["g_conv2_w"] = np.full_like(gen.tensors["g_conv2_w"], 1e308)
+    stack = featurize(clf, train_ds.images[0])
+    with np.errstate(over="ignore"), pytest.raises(ad.NumericOverflowError, match="^conv2d produced non-finite"):
+        generate_image(gen, clf, stack.f_last, stack, 0, 1, 0.5)
