@@ -69,55 +69,27 @@ def prior_mask(cam_source: np.ndarray, cam_target: np.ndarray, threshold: float,
     return PriorMask(mask=mask, threshold=threshold, k=k, per_layer=per_layer)
 
 
-@dataclass(frozen=True)
-class SpeLayerShape:
-    """Geometry of one tapped skip connection relative to the last feature map."""
+def spe_transform(f_s_i, f_k_last, params: dict):
+    """u = decoder(concat(bottleneck(f_s_i) pooled to f_k_last's size, f_k_last)).
 
-    channels: int  # C_i
-    size: int  # H_i == W_i
-    latent_channels: int  # C_l
-    latent_size: int  # H_l == W_l
-
-    @property
-    def pool_steps(self) -> int:
-        steps = 0
-        size = self.size
-        while size > self.latent_size:
-            size //= 2
-            steps += 1
-        if size != self.latent_size:
-            raise ValueError(f"layer size {self.size} not a power-of-two multiple of {self.latent_size}")
-        return steps
-
-
-def init_spe_params(shape: SpeLayerShape, rng: np.random.Generator, prefix: str) -> dict[str, np.ndarray]:
-    """1x1-conv bottleneck (C_i -> C_l) and decoder (2*C_l -> C_i)."""
-    return {
-        f"{prefix}_bottleneck_w": rng.normal(0.0, np.sqrt(2.0 / shape.channels),
-                                             (shape.latent_channels, shape.channels, 1, 1)),
-        f"{prefix}_bottleneck_b": np.zeros(shape.latent_channels),
-        f"{prefix}_decoder_w": rng.normal(0.0, np.sqrt(2.0 / (2 * shape.latent_channels)),
-                                          (shape.channels, 2 * shape.latent_channels, 1, 1)),
-        f"{prefix}_decoder_b": np.zeros(shape.channels),
-    }
-
-
-def spe_transform(f_s_i, f_k_last, params: dict, shape: SpeLayerShape, prefix: str):
-    """u = decoder(concat(bottleneck(f_s_i) pooled to latent size, f_k_last)).
-
-    The decoder output is projected back to the tapped layer's spatial size by
-    nearest-neighbor upsampling. Differentiable end-to-end on Tensors; on
-    ndarrays it runs tape-free (`ad.ops`).
+    The bottleneck output is average-pooled until it has f_k_last's spatial
+    size, and the decoder output upsampled back by nearest neighbour as many
+    times; a size that is not a power-of-two multiple of f_k_last's raises a
+    ShapeError. Differentiable end-to-end on Tensors; on ndarrays it runs
+    tape-free (`ad.ops`).
     """
-    if f_s_i.shape[1] != shape.channels or f_s_i.shape[2] != shape.size:
-        raise ad.ShapeError("spe_transform", f_s_i.shape, (shape.channels, shape.size, shape.size))
+    size, steps = f_s_i.shape[2], 0
+    while size > f_k_last.shape[2] and size % 2 == 0:
+        size, steps = size // 2, steps + 1
+    if size != f_k_last.shape[2]:
+        raise ad.ShapeError("spe_transform", f_s_i.shape, f_k_last.shape)
     op = ad.ops(f_s_i)
-    h = op.conv2d(f_s_i, params[f"{prefix}_bottleneck_w"], params[f"{prefix}_bottleneck_b"])
-    for _ in range(shape.pool_steps):
+    h = op.conv2d(f_s_i, params["spe0_bottleneck_w"], params["spe0_bottleneck_b"])
+    for _ in range(steps):
         h = op.avgpool2(h)
     h = op.concat_channels(h, f_k_last)
-    h = op.conv2d(h, params[f"{prefix}_decoder_w"], params[f"{prefix}_decoder_b"])
-    for _ in range(shape.pool_steps):
+    h = op.conv2d(h, params["spe0_decoder_w"], params["spe0_decoder_b"])
+    for _ in range(steps):
         h = op.upsample2(h)
     return h
 

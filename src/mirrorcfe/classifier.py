@@ -12,6 +12,7 @@ train_classifier writes to them.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,10 +35,6 @@ class ClassifierConfig:
     @property
     def latent_dim(self) -> int:
         return self.stage_channels[-1]
-
-    @property
-    def feature_size(self) -> int:
-        return self.image_size // (2 ** len(self.stage_channels))
 
 
 @dataclass
@@ -79,6 +76,11 @@ def tensor_shapes(config: ClassifierConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+def he_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """A weight of `shape` drawn with variance 2 / fan-in, the fan-in being prod(shape[1:])."""
+    return rng.normal(0.0, np.sqrt(2.0 / math.prod(shape[1:])), shape)
+
+
 def init_params(config: ClassifierConfig, seed: int) -> ClassifierParams:
     """He-normal conv weights, a head drawn with variance 1/latent_dim, zero biases."""
     rng = np.random.default_rng(seed)
@@ -89,7 +91,7 @@ def init_params(config: ClassifierConfig, seed: int) -> ClassifierParams:
         elif name == "head_w":
             tensors[name] = rng.normal(0.0, np.sqrt(1.0 / config.latent_dim), shape)
         else:
-            tensors[name] = rng.normal(0.0, np.sqrt(2.0 / (shape[1] * config.kernel**2)), shape)
+            tensors[name] = he_normal(rng, shape)
     return ClassifierParams(config, tensors)
 
 
@@ -156,8 +158,7 @@ def head(W: np.ndarray, b: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.nd
     products (gemv) in the last bits.
     """
     logits = z @ W + b
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return logits, e / e.sum(axis=-1, keepdims=True)
+    return logits, ad._softmax(logits)
 
 
 def classify(params: ClassifierParams, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

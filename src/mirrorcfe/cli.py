@@ -17,15 +17,14 @@ from .classifier import (ClassifierConfig, TrainHyper, featurize, featurize_batc
 from .dataset import DatasetConfig, LabeledDataset, generate_dataset, split
 from .evaluation import evaluate_suite, write_csv
 from .pgm import quantize, read_pgm, write_pgm
-from .training import (TrainConfig, check_generator_fits, load_generator, save_discriminator, save_generator,
-                       train_generator)
+from .training import TrainConfig, load_generator, save_discriminator, save_generator, train_generator
 
 _SCHEMA = {
     "dataset": {"image_size", "per_class", "noise_sigma", "seed", "train_fraction",
                 "classes", "position_jitter", "thickness_range", "intensity_range"},
     "classifier": {"lr", "epochs", "batch_size", "seed"},
     "generator": {"epochs", "batch_size", "lr", "w_cls", "w_adv", "w_rec", "w_fea",
-                  "w_tri", "w_prox", "alpha", "k_rule", "recon_prob", "rho_lower",
+                  "w_tri", "alpha", "k_rule", "recon_prob", "rho_lower",
                   "rho_upper", "ssc", "seed"},
     "eval": {"steps", "blur_size", "blur_sigma", "pairs", "max_per_pair"},
 }
@@ -167,8 +166,7 @@ def cmd_explain(args) -> None:
     if args.steps < 2:
         raise ValueError(f"explain needs at least 2 steps (k = 0 and k = 1), got {args.steps}")
     clf = load_classifier(args.classifier)
-    gen = load_generator(args.generator)
-    check_generator_fits(gen, clf)
+    gen = load_generator(args.generator, clf.config)
     image = read_pgm(args.image)
     stack = featurize(clf, image)
     source = int(np.argmax(stack.probs))  # predicted class is the source label
@@ -209,8 +207,7 @@ def cmd_evaluate(args) -> None:
     else:
         pairs = [tuple(p) for p in pairs_spec]
     clf = load_classifier(args.classifier)
-    gen = load_generator(args.generator)
-    check_generator_fits(gen, clf)
+    gen = load_generator(args.generator, clf.config)
     (test_ds,) = read_dataset_dir(Path(args.data), ("test",))
     # only the values a flag or the config file sets; the defaults live in evaluate_suite
     options = {key: section[key] for key in ("steps", "blur_size", "blur_sigma", "max_per_pair") if key in section}

@@ -226,7 +226,7 @@ def first_cfe(trajectory: Trajectory, tol: float = 1e-3) -> KfePoint:
     hi = float(trajectory.ks[flip_idx])
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _leads(head(trajectory.W, trajectory.b, trajectory.latent_at(mid))[0], t):
+        if _leads(trajectory.latent_at(mid) @ trajectory.W + trajectory.b, t):  # `head`'s logits, no softmax
             hi = mid
         else:
             lo = mid

@@ -16,13 +16,14 @@ from . import autodiff as ad
 from . import cam as camlib
 from . import geometry, losses
 from .checkpoint import check_tensors, load_checkpoint, save_checkpoint
-from .classifier import ClassifierParams, checkpoint_checksum, classify, forward_graph
+from .classifier import ClassifierParams, checkpoint_checksum, classify, forward_graph, he_normal
 from .dataset import LabeledDataset
 
 # Feature maps per generator pass in generate_images. Measured on a 2-vCPU VM with a 2 MB L2 cache per
 # core, in ms per map for chunks of 1, 2, 3, 4 and 8: plain 0.62, 0.50, 0.47, 0.51, 0.66; SSC 1.20, 0.96,
 # 0.88, 0.89, 0.98. Past a few maps a chunk's intermediates outgrow the cache.
 DECODE_CHUNK = 3
+WIDTH = 32  # channels of every hidden generator layer
 
 
 class TrainingDivergedError(RuntimeError):
@@ -48,7 +49,6 @@ class TrainConfig:
     w_rec: float = 1.0
     w_fea: float = 1.0
     w_tri: float = 1.0
-    w_prox: float = 0.0
     alpha: float = 0.2
     k_rule: str = "uniform"  # or "endpoints-grid"
     recon_prob: float = 0.25
@@ -60,7 +60,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs <= 0 or self.batch_size <= 0:
             raise ValueError("epochs and batch_size must be positive")
-        for name in ("w_cls", "w_adv", "w_rec", "w_fea", "w_tri", "w_prox"):
+        for name in ("w_cls", "w_adv", "w_rec", "w_fea", "w_tri"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.k_rule not in ("uniform", "endpoints-grid"):
@@ -83,46 +83,38 @@ class DiscriminatorParams:
     tensors: dict[str, np.ndarray]
 
 
-def _spe_shape(clf_cfg) -> camlib.SpeLayerShape:
-    # tap the first conv stage
-    return camlib.SpeLayerShape(
-        channels=clf_cfg.stage_channels[0],
-        size=clf_cfg.image_size // 2,
-        latent_channels=clf_cfg.latent_dim,
-        latent_size=clf_cfg.feature_size,
-    )
-
-
-def init_generator(clf_cfg, seed: int, ssc: bool, width: int = 32) -> GeneratorParams:
-    rng = np.random.default_rng(seed)
-    cl = clf_cfg.latent_dim
-    mid = width
-
-    def conv(c_out, c_in, k=3):
-        return rng.normal(0.0, np.sqrt(2.0 / (c_in * k * k)), (c_out, c_in, k, k))
-
-    tensors = {
-        "g_conv1_w": conv(mid, cl), "g_conv1_b": np.zeros(mid),
-        "g_conv2_w": conv(mid, mid), "g_conv2_b": np.zeros(mid),
-        "g_out_w": conv(clf_cfg.in_channels, mid), "g_out_b": np.zeros(clf_cfg.in_channels),
+def generator_shapes(clf_cfg, ssc: bool, width: int) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every tensor of a generator that decodes `clf_cfg`'s features, in
+    initialization order: it reads the latent channels, writes the input channels, and an SSC
+    generator's skip reads the first stage."""
+    latent, skip, out = clf_cfg.latent_dim, clf_cfg.stage_channels[0], clf_cfg.in_channels
+    shapes = {
+        "g_conv1_w": (width, latent, 3, 3), "g_conv1_b": (width,),
+        "g_conv2_w": (width, width, 3, 3), "g_conv2_b": (width,),
+        "g_out_w": (out, width, 3, 3), "g_out_b": (out,),
     }
     if ssc:
-        skip_c = clf_cfg.stage_channels[0]
-        tensors["g_fuse_w"] = conv(mid, mid + skip_c)
-        tensors["g_fuse_b"] = np.zeros(mid)
-        tensors.update(camlib.init_spe_params(_spe_shape(clf_cfg), rng, "spe0"))
-    return GeneratorParams(tensors=tensors, config={"in_channels": clf_cfg.in_channels, "width": mid})
+        shapes.update({
+            "g_fuse_w": (width, width + skip, 3, 3), "g_fuse_b": (width,),
+            "spe0_bottleneck_w": (latent, skip, 1, 1), "spe0_bottleneck_b": (latent,),
+            "spe0_decoder_w": (skip, 2 * latent, 1, 1), "spe0_decoder_b": (skip,),
+        })
+    return shapes
+
+
+def init_generator(clf_cfg, seed: int, ssc: bool) -> GeneratorParams:
+    """He-normal weights and zero biases in the layout of `generator_shapes`."""
+    rng = np.random.default_rng(seed)
+    tensors = {name: np.zeros(shape) if name.endswith("_b") else he_normal(rng, shape)
+               for name, shape in generator_shapes(clf_cfg, ssc, WIDTH).items()}
+    return GeneratorParams(tensors=tensors, config={"in_channels": clf_cfg.in_channels, "width": WIDTH})
 
 
 def init_discriminator(clf_cfg, seed: int) -> DiscriminatorParams:
     rng = np.random.default_rng(seed + 1)
-
-    def conv(c_out, c_in, k=3):
-        return rng.normal(0.0, np.sqrt(2.0 / (c_in * k * k)), (c_out, c_in, k, k))
-
     return DiscriminatorParams({
-        "d_conv1_w": conv(8, clf_cfg.in_channels), "d_conv1_b": np.zeros(8),
-        "d_conv2_w": conv(16, 8), "d_conv2_b": np.zeros(16),
+        "d_conv1_w": he_normal(rng, (8, clf_cfg.in_channels, 3, 3)), "d_conv1_b": np.zeros(8),
+        "d_conv2_w": he_normal(rng, (16, 8, 3, 3)), "d_conv2_b": np.zeros(16),
         "d_head_w": rng.normal(0.0, 0.25, (16, 1)), "d_head_b": np.zeros(1),
     })
 
@@ -137,14 +129,13 @@ def ssc_skip(gp: dict, config: dict, clf: ClassifierParams, f_s_first: np.ndarra
     generator's own bounds config["rho_lower"], config["rho_upper"]. A Tensor
     f_input builds the tape, an ndarray runs tape-free (`ad.ops`).
     """
-    shape = _spe_shape(clf.config)
     f_s = ad.ops(f_input).constant(f_s_first)
-    u = camlib.spe_transform(f_s, f_input, gp, shape, "spe0")
+    u = camlib.spe_transform(f_s, f_input, gp)
     masks = []
     for f_k, s, t, k in zip(ad.value(f_input), sources, targets, ks):
         cams = camlib.cam(clf.head_w, f_k)
         thr = camlib.rho(k, config["rho_lower"], config["rho_upper"])
-        pm = camlib.prior_mask(cams.normalized[s], cams.normalized[t], thr, k, {0: (shape.size, shape.size)})
+        pm = camlib.prior_mask(cams.normalized[s], cams.normalized[t], thr, k, {0: f_s_first.shape[2:]})
         masks.append(pm.per_layer[0])
     return camlib.csp_mix(f_s, u, np.stack(masks))
 
@@ -300,7 +291,7 @@ def train_generator(clf: ClassifierParams, dataset: LabeledDataset, cfg: TrainCo
             clf_nodes = forward_graph(cp, clf.config, x_gen)
             l_cls = losses.loss_cls(np.stack([e.p_intended for e in elements]), clf_nodes["probs"])
 
-            rec_terms, fea_terms, tri_terms, prox_terms = [], [], [], []
+            rec_terms, fea_terms, tri_terms = [], [], []
             for i, e in enumerate(elements):
                 x_i = ad.slice_rows(x_gen, i, i + 1)
                 if e.kind == "recon":
@@ -311,8 +302,6 @@ def train_generator(clf: ClassifierParams, dataset: LabeledDataset, cfg: TrainCo
                     if cfg.w_tri > 0:
                         tri_terms.append(losses.loss_tri(
                             e.x_s[None], x_i, e.x_ref[None], e.z_s, e.z_k, e.z_ref, e.k, tri_cfg))
-                    if cfg.w_prox > 0:
-                        prox_terms.append(losses.loss_rec(e.x_s[None], x_i))
 
             def _mean(terms):
                 if not terms:
@@ -322,14 +311,12 @@ def train_generator(clf: ClassifierParams, dataset: LabeledDataset, cfg: TrainCo
                     acc = ad.add(acc, t)
                 return ad.scale(acc, 1.0 / len(terms))
 
-            l_rec, l_fea, l_tri, l_prox = _mean(rec_terms), _mean(fea_terms), _mean(tri_terms), _mean(prox_terms)
+            l_rec, l_fea, l_tri = _mean(rec_terms), _mean(fea_terms), _mean(tri_terms)
             total = ad.scale(l_cls, cfg.w_cls)
             total = ad.add(total, ad.scale(g_term, cfg.w_adv))
             total = ad.add(total, ad.scale(l_rec, cfg.w_rec))
             total = ad.add(total, ad.scale(l_fea, cfg.w_fea))
             total = ad.add(total, ad.scale(l_tri, cfg.w_tri))
-            if cfg.w_prox > 0:
-                total = ad.add(total, ad.scale(l_prox, cfg.w_prox))
 
             if not np.isfinite(total.data):
                 gen_last, dis_last = last_good
@@ -394,29 +381,9 @@ def save_generator(path, gen: GeneratorParams) -> None:
     save_checkpoint(path, "generator", gen.tensors, {"ssc": gen.ssc, **gen.config})
 
 
-def generator_shapes(in_channels: int, width: int, latent_channels: int,
-                     skip_channels: int | None) -> dict[str, tuple[int, ...]]:
-    """Name and shape of every tensor `init_generator` makes; an SSC generator has skip_channels."""
-    shapes = {
-        "g_conv1_w": (width, latent_channels, 3, 3), "g_conv1_b": (width,),
-        "g_conv2_w": (width, width, 3, 3), "g_conv2_b": (width,),
-        "g_out_w": (in_channels, width, 3, 3), "g_out_b": (in_channels,),
-    }
-    if skip_channels is not None:
-        shapes.update({
-            "g_fuse_w": (width, width + skip_channels, 3, 3), "g_fuse_b": (width,),
-            "spe0_bottleneck_w": (latent_channels, skip_channels, 1, 1), "spe0_bottleneck_b": (latent_channels,),
-            "spe0_decoder_w": (skip_channels, 2 * latent_channels, 1, 1), "spe0_decoder_b": (skip_channels,),
-        })
-    return shapes
-
-
-def load_generator(path) -> GeneratorParams:
-    """A generator checkpoint, its tensors checked against the manifest's in_channels and width.
-
-    The classifier's latent and first-stage channel counts are not in the
-    manifest; they are read off `g_conv1_w` and `spe0_bottleneck_w`.
-    """
+def load_generator(path, clf_config) -> GeneratorParams:
+    """A generator checkpoint, its tensors checked against the `generator_shapes` of `clf_config` and
+    the manifest's width: a generator built for another classifier fails here with one ValueError."""
     role, tensors, cfg = load_checkpoint(path)
     if role != "generator":
         raise ValueError(f"{path}: expected a generator checkpoint, got role {role!r}")
@@ -429,26 +396,10 @@ def load_generator(path) -> GeneratorParams:
         raise ValueError(f"{path}: SSC generator checkpoint lacks its rho_lower/rho_upper CAM bounds")
     if not {"in_channels", "width"} <= set(cfg):
         raise ValueError(f"{path}: generator checkpoint lacks its in_channels/width config")
-
-    def channels(name):  # axis 1 of a stored 4-d weight; check_tensors reports it when absent or malformed
-        shape = tensors[name].shape if name in tensors else ()
-        return shape[1] if len(shape) == 4 else 0
-
-    check_tensors(path, tensors, generator_shapes(cfg["in_channels"], cfg["width"], channels("g_conv1_w"),
-                                                  channels("spe0_bottleneck_w") if ssc else None))
+    if type(cfg["width"]) is not int:
+        raise ValueError(f"{path}: generator width {cfg['width']!r} is not an integer")
+    check_tensors(path, tensors, generator_shapes(clf_config, ssc, cfg["width"]))
     return gen
-
-
-def check_generator_fits(gen: GeneratorParams, clf: ClassifierParams) -> None:
-    """Raise a one-line ValueError unless `gen` decodes `clf`'s features: its first conv must read
-    the classifier's latent channels and an SSC generator's skip its first-stage channels."""
-    needs = {"g_conv1_w": ("latent", clf.config.latent_dim)}
-    if gen.ssc:
-        needs["spe0_bottleneck_w"] = ("first-stage", clf.config.stage_channels[0])
-    for name, (what, channels) in needs.items():
-        if gen.tensors[name].shape[1] != channels:
-            raise ValueError(f"generator tensor {name!r} reads {gen.tensors[name].shape[1]} channels, "
-                             f"but the classifier's {what} features have {channels}")
 
 
 def save_discriminator(path, dis: DiscriminatorParams) -> None:

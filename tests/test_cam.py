@@ -5,6 +5,8 @@ import pytest
 
 import mirrorcfe.autodiff as ad
 from mirrorcfe import cam as camlib
+from mirrorcfe.classifier import ClassifierConfig
+from mirrorcfe.training import init_generator
 
 
 class TestCam:
@@ -79,21 +81,25 @@ class TestPriorMask:
 class TestSpe:
     def test_transform_shapes_and_gradient(self):
         rng = np.random.default_rng(2)
-        shape = camlib.SpeLayerShape(channels=8, size=8, latent_channels=16, latent_size=4)
-        raw = camlib.init_spe_params(shape, rng, "spe0")
-        params = {k: ad.Tensor(v, trainable=True) for k, v in raw.items()}
+        gen = init_generator(ClassifierConfig(), seed=2, ssc=True)  # an 8x8 first stage of 8 channels, 16x4x4 latent
+        params = {k: ad.Tensor(v, trainable=True) for k, v in gen.tensors.items() if k.startswith("spe0_")}
         f_s = ad.constant(rng.normal(size=(2, 8, 8, 8)))
         f_k = ad.constant(rng.normal(size=(2, 16, 4, 4)))
-        u = camlib.spe_transform(f_s, f_k, params, shape, "spe0")
+        u = camlib.spe_transform(f_s, f_k, params)
         assert u.shape == (2, 8, 8, 8)
         leaf = params["spe0_decoder_w"]
-        err = ad.gradient_check(lambda: ad.mean(camlib.spe_transform(f_s, f_k, params, shape, "spe0")),
-                                leaf, rng=rng)
+        err = ad.gradient_check(lambda: ad.mean(camlib.spe_transform(f_s, f_k, params)), leaf, rng=rng)
         assert err < 1e-3
 
     def test_bad_layer_geometry(self):
-        with pytest.raises(ValueError):
-            camlib.SpeLayerShape(channels=8, size=6, latent_channels=16, latent_size=4).pool_steps
+        # neither size is a power-of-two multiple of the latent size
+        rng = np.random.default_rng(2)
+        params = init_generator(ClassifierConfig(), seed=2, ssc=True).tensors
+        for size, latent_size in ((6, 4), (5, 2)):
+            f_s = rng.normal(size=(1, 8, size, size))
+            f_k = rng.normal(size=(1, 16, latent_size, latent_size))
+            with pytest.raises(ad.ShapeError, match="spe_transform"):
+                camlib.spe_transform(f_s, f_k, params)
 
 
 class TestCspMix:

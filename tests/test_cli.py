@@ -275,20 +275,21 @@ def test_generator_missing_tensor_one_error_line(workdir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["explain", "evaluate"])
-@pytest.mark.parametrize("stage_channels, ssc, word", [
-    ((8, 12), False, "'g_conv1_w' reads 12 channels, but the classifier's latent features have 16"),
-    ((4, 16), True, "'spe0_bottleneck_w' reads 4 channels, but the classifier's first-stage features have 8"),
-], ids=["plain-latent", "ssc-first-stage"])
-def test_generator_for_another_classifier_one_error_line(workdir, tmp_path, capsys, command, stage_channels,
-                                                         ssc, word):
-    # such a generator loads; explain used to make its output directory and fail with a ShapeError in the decode
+@pytest.mark.parametrize("other, ssc, word", [
+    (dict(stage_channels=(8, 12)), False, "'g_conv1_w' has shape (32, 12, 3, 3)"),
+    (dict(stage_channels=(4, 16)), True, "'g_fuse_w' has shape (32, 36, 3, 3)"),
+    (dict(in_channels=3), False, "'g_out_b' has shape (3,)"),
+], ids=["plain-latent", "ssc-first-stage", "output-channels"])
+def test_generator_for_another_classifier_one_error_line(workdir, tmp_path, capsys, command, other, ssc, word):
+    # such a generator is rejected on load; explain used to make its output directory and fail in the decode,
+    # or, with other output channels, in write_pgm
     from mirrorcfe.classifier import ClassifierConfig
     from mirrorcfe.training import init_generator, save_generator
 
     gen = tmp_path / "gen.ckpt"
-    other = init_generator(ClassifierConfig(stage_channels=stage_channels), 0, ssc=ssc)
-    other.config.update(rho_lower=0.2, rho_upper=0.8)
-    save_generator(gen, other)
+    built = init_generator(ClassifierConfig(**other), 0, ssc=ssc)
+    built.config.update(rho_lower=0.2, rho_upper=0.8)
+    save_generator(gen, built)
     out = tmp_path / "out"
     flags = {"explain": ["--image", str(workdir / "data" / "img_00000.pgm"), "--target", "0"],
              "evaluate": ["--data", str(workdir / "data"), "--pairs", "0:1"]}[command]

@@ -163,12 +163,27 @@ def test_generator_tensors_checked_against_config(tmp_path, edit, word, ssc):
     gen = init_generator(ClassifierConfig(), seed=0, ssc=ssc)
     gen.config.update(rho_lower=0.2, rho_upper=0.8)
     save_generator(tmp_path / "good.ckpt", gen)
-    assert load_generator(tmp_path / "good.ckpt").tensors.keys() == gen.tensors.keys()
+    assert load_generator(tmp_path / "good.ckpt", ClassifierConfig()).tensors.keys() == gen.tensors.keys()
     _, _, config = load_checkpoint(tmp_path / "good.ckpt")
     path = _resaved(tmp_path, "generator", gen.tensors, config, edit)
     with pytest.raises(ValueError, match=word) as info:
-        load_generator(path)
+        load_generator(path, ClassifierConfig())
     assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("width", ["32", None, [32], 32.0, True], ids=["str", "null", "list", "float", "bool"])
+def test_generator_width_must_be_an_integer(tmp_path, width):
+    # a string width used to leak a TypeError from the shape arithmetic
+    from mirrorcfe.classifier import ClassifierConfig
+    from mirrorcfe.training import init_generator, load_generator
+
+    gen = init_generator(ClassifierConfig(), seed=0, ssc=True)
+    path = tmp_path / "g.ckpt"
+    save_checkpoint(path, "generator", gen.tensors,
+                    {**gen.config, "ssc": True, "rho_lower": 0.2, "rho_upper": 0.8, "width": width})
+    with pytest.raises(ValueError, match="width .* is not an integer") as info:
+        load_generator(path, ClassifierConfig())
+    assert str(path) in str(info.value) and "\n" not in str(info.value)
 
 
 # -- byte fuzz: every malformed file ends in one ValueError-family error ------------------------
@@ -218,12 +233,12 @@ _CHECKPOINT_BYTES = st.one_of(
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(raw=_CHECKPOINT_BYTES)
 def test_checkpoint_fuzz_ends_in_one_value_error_line(tmp_path, raw):
-    from mirrorcfe.classifier import load_classifier
+    from mirrorcfe.classifier import ClassifierConfig, load_classifier
     from mirrorcfe.training import load_generator
 
     path = tmp_path / "fuzz.ckpt"
     path.write_bytes(raw)
-    for load in (load_checkpoint, load_classifier, load_generator):
+    for load in (load_checkpoint, load_classifier, lambda p: load_generator(p, ClassifierConfig())):
         try:
             load(path)
         except ValueError as err:
