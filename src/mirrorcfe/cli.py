@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -19,15 +20,29 @@ from .evaluation import evaluate_suite, write_csv
 from .pgm import quantize, read_pgm, write_pgm
 from .training import TrainConfig, load_generator, save_discriminator, save_generator, train_generator
 
+
+def _defaults(cls) -> dict:
+    return {f.name: f.default for f in dataclasses.fields(cls)}
+
+
+# Each config key with its default; a configured value must have the default's type (see `_fits`).
 _SCHEMA = {
-    "dataset": {"image_size", "per_class", "noise_sigma", "seed", "train_fraction",
-                "classes", "position_jitter", "thickness_range", "intensity_range"},
-    "classifier": {"lr", "epochs", "batch_size", "seed"},
-    "generator": {"epochs", "batch_size", "lr", "w_cls", "w_adv", "w_rec", "w_fea",
-                  "w_tri", "alpha", "k_rule", "recon_prob", "rho_lower",
-                  "rho_upper", "ssc", "seed"},
-    "eval": {"steps", "blur_size", "blur_sigma", "pairs", "max_per_pair"},
+    "dataset": {**_defaults(DatasetConfig), "train_fraction": 0.6},
+    "classifier": _defaults(TrainHyper),
+    "generator": _defaults(TrainConfig),
+    "eval": {"steps": 21, "blur_size": 3, "blur_sigma": 1.0, "max_per_pair": None, "pairs": "0:1"},
 }
+
+
+def _fits(value, default) -> bool:
+    """Whether a JSON value has the type of `default`; a bool is not an int."""
+    if isinstance(default, tuple):  # a list of the element type
+        return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
+    if default is None:  # max_per_pair: no cap, or a cap
+        return value is None or type(value) is int
+    if type(default) is float:  # an int serves for a float
+        return type(value) in (int, float)
+    return type(value) is type(default)
 
 
 def load_config(path: str | None) -> dict:
@@ -45,9 +60,13 @@ def load_config(path: str | None) -> dict:
             raise ValueError(f"config: unknown section {section!r}")
         if not isinstance(keys, dict):
             raise ValueError(f"config section {section!r}: expected a JSON object, got {type(keys).__name__}")
-        unknown = set(keys) - _SCHEMA[section]
-        if unknown:
-            raise ValueError(f"config section {section!r}: unknown keys {sorted(unknown)}")
+        for key, value in keys.items():
+            if key not in _SCHEMA[section]:
+                raise ValueError(f"config section {section!r}: unknown key {key!r}")
+            default = _SCHEMA[section][key]
+            if not _fits(value, default):
+                raise ValueError(f"config {section}.{key}: {json.dumps(value)} lacks the type of its default {default!r}")
+            keys[key] = tuple(value) if isinstance(default, tuple) else value
     return cfg
 
 
@@ -119,13 +138,7 @@ def parse_pairs(spec: str) -> list[tuple[int, int]]:
 
 def cmd_make_dataset(args) -> None:
     section = _seed_override(load_config(args.config).get("dataset", {}))
-    fraction = section.pop("train_fraction", 0.6)
-    if "classes" in section:
-        section["classes"] = tuple(section["classes"])
-    if "thickness_range" in section:
-        section["thickness_range"] = tuple(section["thickness_range"])
-    if "intensity_range" in section:
-        section["intensity_range"] = tuple(section["intensity_range"])
+    fraction = section.pop("train_fraction", _SCHEMA["dataset"]["train_fraction"])
     cfg = DatasetConfig(**section)
     full = generate_dataset(cfg)
     train, test = split(full, fraction, cfg.seed)
@@ -174,21 +187,23 @@ def cmd_explain(args) -> None:
     if target == source:
         raise ValueError(f"target class {target} equals the predicted source class")
     mirror = geometry.make_mirror(clf.head_w, clf.head_b, source, target)
-    points = geometry.sample_trajectory(stack.z, mirror, clf.head_w, clf.head_b, steps=args.steps).points
+    traj = geometry.sample_trajectory(stack.z, mirror, clf.head_w, clf.head_b, steps=args.steps)
+    ks = traj.ks.tolist()
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     frames = []
-    for i, pt in enumerate(points):
-        f_k = geometry.kfe_feature(stack.f_last, stack.z, pt.k, mirror)
+    for i, k in enumerate(ks):
+        f_k = geometry.kfe_feature(stack.f_last, stack.z, k, mirror)
         # the CSV describes the 8-bit frame on disk, not the float decode
-        frames.append(quantize(generate_image(gen, clf, f_k, stack, source, target, pt.k)))
+        frames.append(quantize(generate_image(gen, clf, f_k, stack, source, target, k)))
         write_pgm(out_dir / f"frame_{i:03}.pgm", frames[-1])
     rows = []
-    for pt, x_k, pred in zip(points, frames, featurize_batch(clf, frames)):
+    q_targets = geometry.pair_confidence(traj.grid, mirror).tolist()
+    for k, q, x_k, pred in zip(ks, q_targets, frames, featurize_batch(clf, frames)):
         rows.append({
-            "k": f"{pt.k:.6f}",
-            "intended_q_source": f"{1.0 - pt.q_pair:.9f}",
-            "intended_q_target": f"{pt.q_pair:.9f}",
+            "k": f"{k:.6f}",
+            "intended_q_source": f"{1.0 - q:.9f}",
+            "intended_q_target": f"{q:.9f}",
             "pred_p_source": f"{pred.probs[source]:.9f}",
             "pred_p_target": f"{pred.probs[target]:.9f}",
             "l1_to_source": f"{float(np.mean(np.abs(x_k - image))):.9f}",
@@ -196,21 +211,17 @@ def cmd_explain(args) -> None:
     write_csv(out_dir / "confidence.csv",
               ["k", "intended_q_source", "intended_q_target", "pred_p_source",
                "pred_p_target", "l1_to_source"], rows)
-    print(f"wrote {len(points)} frames to {out_dir}")
+    print(f"wrote {len(ks)} frames to {out_dir}")
 
 
 def cmd_evaluate(args) -> None:
-    section = load_config(args.config).get("eval", {}) if args.config else {}
-    pairs_spec = args.pairs if args.pairs is not None else section.get("pairs", "0:1")
-    if isinstance(pairs_spec, str):
-        pairs = parse_pairs(pairs_spec)
-    else:
-        pairs = [tuple(p) for p in pairs_spec]
+    options = load_config(args.config).get("eval", {})  # every eval key but pairs is an evaluate_suite option
+    spec = options.pop("pairs", _SCHEMA["eval"]["pairs"])
+    pairs = parse_pairs(args.pairs if args.pairs is not None else spec)
     clf = load_classifier(args.classifier)
     gen = load_generator(args.generator, clf.config)
     (test_ds,) = read_dataset_dir(Path(args.data), ("test",))
     # only the values a flag or the config file sets; the defaults live in evaluate_suite
-    options = {key: section[key] for key in ("steps", "blur_size", "blur_sigma", "max_per_pair") if key in section}
     options.update((key, getattr(args, key)) for key in ("steps", "blur_size", "blur_sigma")
                    if getattr(args, key) is not None)
     report = evaluate_suite(clf, gen, test_ds, pairs, **options)

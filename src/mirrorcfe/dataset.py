@@ -17,7 +17,6 @@ SHAPE_KINDS = ("horizontal-bar", "vertical-bar", "cross", "disk")
 @dataclass(frozen=True)
 class DatasetConfig:
     image_size: int = 16
-    channels: int = 1
     classes: tuple[str, ...] = SHAPE_KINDS
     per_class: int = 250
     position_jitter: int = 2
@@ -89,7 +88,7 @@ def generate_dataset(config: DatasetConfig) -> LabeledDataset:
             if config.noise_sigma > 0:
                 img = img + rng.normal(0.0, config.noise_sigma, img.shape)
             img = np.clip(img, 0.0, 1.0)
-            ds.images.append(np.broadcast_to(img, (config.channels, size, size)).copy())
+            ds.images.append(img[None])
             ds.labels.append(label)
     return ds
 

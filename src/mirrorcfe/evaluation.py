@@ -100,6 +100,8 @@ def evaluate_suite(clf: ClassifierParams, gen: GeneratorParams, test_set: Labele
     """
     if steps < geometry.FIRST_CFE_MIN_STEPS:
         raise ValueError(f"evaluate needs at least {geometry.FIRST_CFE_MIN_STEPS} trajectory steps, got {steps}")
+    if max_per_pair is not None and max_per_pair < 1:
+        raise ValueError(f"evaluate needs max_per_pair of at least 1 (or none, no cap), got {max_per_pair}")
     gaussian_kernel(blur_size, blur_sigma)  # reject a malformed blur before any sample is decoded
     report = EvalReport()
     stacks: list[FeatureStack] = []  # the test split, featurized a chunk at a time when the scan reaches it
@@ -116,7 +118,7 @@ def evaluate_suite(clf: ClassifierParams, gen: GeneratorParams, test_set: Labele
                 continue
             traj = geometry.sample_trajectory(stacks[idx].z, mirror, clf.head_w, clf.head_b, steps=steps)
             try:
-                first_k = geometry.first_cfe(traj).k
+                first_k = geometry.first_cfe(traj)
             except geometry.NoFlipError:
                 first_k = None
             picked.append((idx, traj, first_k))

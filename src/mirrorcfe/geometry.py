@@ -11,7 +11,6 @@ swap while the remaining logits stay put.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -114,29 +113,6 @@ def pair_confidence(z: np.ndarray, mirror: Mirror) -> float | np.ndarray:
     return q if z.ndim == 2 else float(q)
 
 
-def _kind(k: float) -> str:
-    if k == 1.0:
-        return "reflection"
-    if k > 0.5:
-        return "cfe"
-    if k == 0.5:
-        return "projection"
-    return "sfe"
-
-
-@dataclass(frozen=True)
-class KfePoint:
-    k: float
-    z: np.ndarray
-    q_pair: float
-    logits: np.ndarray
-    p_multi: np.ndarray
-
-    @property
-    def kind(self) -> str:
-        return _kind(self.k)
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """A uniform k-grid of `steps` points from z_s (k=0) to k=1, kept as arrays.
@@ -144,8 +120,7 @@ class Trajectory:
     The step's scale and direction are computed once; `grid` holds the
     latents, one row per k in `ks`, each bit-equal to `position` at its k, and
     the head runs on the whole grid in one product (`logits`, `probs`).
-    `points` builds the grid's KfePoints when first read. `point_at` runs
-    the head on one latent; `first_cfe` returns its point through it.
+    `latent_at` takes the same step at any k, as the first-CFE bisection does.
     """
 
     z_s: np.ndarray
@@ -170,19 +145,8 @@ class Trajectory:
                             ("logits", logits), ("probs", probs)):
             object.__setattr__(self, name, value)
 
-    @cached_property
-    def points(self) -> tuple[KfePoint, ...]:
-        q_pairs = pair_confidence(self.grid, self.mirror)
-        return tuple(KfePoint(k=float(k), z=z, q_pair=float(q), logits=lg, p_multi=p)
-                     for k, z, q, lg, p in zip(self.ks, self.grid, q_pairs, self.logits, self.probs))
-
     def latent_at(self, k: float) -> np.ndarray:
         return _step(self.z_s, k, *self._scale_direction)
-
-    def point_at(self, k: float) -> KfePoint:
-        z = self.latent_at(k)
-        logits, probs = head(self.W, self.b, z)
-        return KfePoint(k=k, z=z, q_pair=pair_confidence(z, self.mirror), logits=logits, p_multi=probs)
 
 
 def sample_trajectory(z_s: np.ndarray, mirror: Mirror, W: np.ndarray, b: np.ndarray,
@@ -200,16 +164,15 @@ def _leads(logits: np.ndarray, target: int) -> np.ndarray:
     return logits[..., target] - rivals.max(axis=-1) > FLIP_MARGIN
 
 
-def first_cfe(trajectory: Trajectory, tol: float = 1e-3) -> KfePoint:
-    """Smallest-k point whose multi-class prediction is the target, via bisection.
+def first_cfe(trajectory: Trajectory, tol: float = 1e-3) -> float:
+    """Smallest k whose multi-class prediction is the target, via bisection.
 
     Scans the trajectory grid's logits for the first flip, then bisects
     between the last unflipped and first flipped grid points until
     |delta k| <= tol, on the head's logits at each midpoint. A point counts as
     flipped only when the target leads by more than FLIP_MARGIN, so a flip at
     the binary projection k = 0.5 is reported as the first bisection point
-    past it, whatever the last bits of the tie. Only the returned point is a
-    KfePoint.
+    past it, whatever the last bits of the tie.
     """
     if trajectory.steps < FIRST_CFE_MIN_STEPS:
         raise ValueError(f"first_cfe needs a trajectory of at least {FIRST_CFE_MIN_STEPS} steps")
@@ -221,7 +184,7 @@ def first_cfe(trajectory: Trajectory, tol: float = 1e-3) -> KfePoint:
             f"(final argmax {int(np.argmax(trajectory.probs[-1]))})")
     flip_idx = int(np.argmax(flips))
     if flip_idx == 0:
-        return trajectory.points[0]
+        return float(trajectory.ks[0])
     lo = float(trajectory.ks[flip_idx - 1])
     hi = float(trajectory.ks[flip_idx])
     while hi - lo > tol:
@@ -230,7 +193,7 @@ def first_cfe(trajectory: Trajectory, tol: float = 1e-3) -> KfePoint:
             hi = mid
         else:
             lo = mid
-    return trajectory.point_at(hi)
+    return hi
 
 
 # -- L-BFGS -------------------------------------------------------------------

@@ -22,7 +22,6 @@ class RatioDegenerateError(ValueError):
 @dataclass(frozen=True)
 class TriConfig:
     alpha: float = 0.2
-    tri_weight: float = 1.0
     ratio_floor: float = 1e-6
 
     def __post_init__(self):

@@ -259,7 +259,7 @@ def train_generator(clf: ClassifierParams, dataset: LabeledDataset, cfg: TrainCo
     g_state = ad.AdamState(gp, lr=cfg.lr)
     d_state = ad.AdamState(dp, lr=cfg.lr)
     rng = np.random.default_rng(cfg.seed)
-    tri_cfg = losses.TriConfig(alpha=cfg.alpha, tri_weight=cfg.w_tri)
+    tri_cfg = losses.TriConfig(alpha=cfg.alpha)
     stacks = [featurize(clf, img) for img in dataset.images]
     history: list[dict] = []
     n = len(dataset)
@@ -399,15 +399,11 @@ def load_generator(path, clf_config) -> GeneratorParams:
     if type(cfg["width"]) is not int:
         raise ValueError(f"{path}: generator width {cfg['width']!r} is not an integer")
     check_tensors(path, tensors, generator_shapes(clf_config, ssc, cfg["width"]))
+    if type(cfg["in_channels"]) is not int or cfg["in_channels"] != clf_config.in_channels:
+        raise ValueError(f"{path}: manifest in_channels {cfg['in_channels']!r} does not match "
+                         f"the classifier's {clf_config.in_channels}")
     return gen
 
 
 def save_discriminator(path, dis: DiscriminatorParams) -> None:
     save_checkpoint(path, "discriminator", dis.tensors)
-
-
-def load_discriminator(path) -> DiscriminatorParams:
-    role, tensors, _ = load_checkpoint(path)
-    if role != "discriminator":
-        raise ValueError(f"{path}: expected a discriminator checkpoint, got role {role!r}")
-    return DiscriminatorParams(tensors)

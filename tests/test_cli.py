@@ -320,7 +320,8 @@ def test_config_must_be_objects(tmp_path, capsys, text, word):
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.sampled_from([*_SCHEMA, "bogus", *sorted(_SCHEMA["eval"])]), inner, max_size=3),
+    | st.dictionaries(st.sampled_from([*_SCHEMA, "bogus", *sorted({k for keys in _SCHEMA.values() for k in keys})]),
+                      inner, max_size=3),
     max_leaves=8)
 
 
@@ -334,7 +335,96 @@ def test_config_fuzz_ends_in_one_value_error_line(tmp_path, raw):
     except ValueError as err:  # JSONDecodeError and UnicodeDecodeError are ValueErrors too
         assert "\n" not in str(err)
         return
-    assert all(isinstance(keys, dict) and set(keys) <= _SCHEMA[section] for section, keys in cfg.items())
+    for section, keys in cfg.items():
+        assert isinstance(keys, dict) and set(keys) <= set(_SCHEMA[section])
+        for key, value in keys.items():  # each accepted value has its default's type
+            default = _SCHEMA[section][key]
+            if isinstance(default, tuple):
+                assert type(value) is tuple and {type(v) for v in value} <= _accepted_types(default[0])
+            else:
+                assert type(value) in _accepted_types(default)
+
+
+def _accepted_types(default) -> set:
+    if default is None:  # max_per_pair: no cap, or a cap
+        return {type(None), int}
+    return {int, float} if type(default) is float else {type(default)}
+
+
+def test_config_keys_come_from_the_dataclasses():
+    import dataclasses
+
+    from mirrorcfe.classifier import TrainHyper
+    from mirrorcfe.dataset import DatasetConfig
+    from mirrorcfe.training import TrainConfig
+
+    for section, cls in (("dataset", DatasetConfig), ("classifier", TrainHyper), ("generator", TrainConfig)):
+        fields = {f.name: f.default for f in dataclasses.fields(cls)}
+        assert {k: v for k, v in _SCHEMA[section].items() if k != "train_fraction"} == fields
+    assert set(_SCHEMA["eval"]) == {"steps", "blur_size", "blur_sigma", "pairs", "max_per_pair"}
+    assert sum(len(keys) for keys in _SCHEMA.values()) == 33
+
+
+def test_config_values_of_the_default_type_are_accepted(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"dataset": {"noise_sigma": 0, "thickness_range": [1, 2], "intensity_range": [0, 1]},
+                                "generator": {"lr": 1, "ssc": True}, "eval": {"max_per_pair": None, "pairs": "1:0"}}))
+    cfg = load_config(str(path))
+    assert cfg["dataset"] == {"noise_sigma": 0, "thickness_range": (1, 2), "intensity_range": (0, 1)}
+    assert cfg["generator"] == {"lr": 1, "ssc": True} and cfg["eval"]["max_per_pair"] is None
+
+
+_SECTION_COMMAND = {"dataset": "make-dataset", "classifier": "train-classifier", "generator": "train-generator",
+                    "eval": "evaluate"}
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("generator", "ssc", "false"),  # a non-empty string used to train an SSC generator
+    ("generator", "epochs", "2"),
+    ("generator", "lr", "0.1"),
+    ("generator", "epochs", 2.0),
+    ("classifier", "batch_size", True),
+    ("dataset", "per_class", False),
+    ("dataset", "thickness_range", [1.5, 3]),
+    ("dataset", "classes", "disk"),
+    ("eval", "steps", "21"),
+    ("eval", "blur_size", 3.0),
+    ("eval", "blur_sigma", True),
+    ("eval", "max_per_pair", "5"),
+    ("eval", "pairs", [[0, 1]]),
+    ("eval", "pairs", [["a", 1]]),
+])
+def test_mistyped_config_value_one_error_line(workdir, tmp_path, capsys, section, key, value):
+    # the string and float values used to leak a TypeError or UFuncTypeError from deep in the command
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({section: {key: value}}))
+    command = _SECTION_COMMAND[section]
+    flags = {"make-dataset": [],
+             "train-classifier": ["--data", str(workdir / "data")],
+             "train-generator": ["--data", str(workdir / "data"), "--classifier", str(workdir / "clf.ckpt")],
+             "evaluate": ["--data", str(workdir / "data"), "--classifier", str(workdir / "clf.ckpt"),
+                          "--generator", str(workdir / "gen.ckpt")]}[command]
+    out = tmp_path / "out"
+    assert main([command, *flags, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ValueError:") and f"{section}.{key}" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cap, code", [(0, 1), (-1, 1), (None, 0)])
+def test_evaluate_max_per_pair(workdir, tmp_path, capsys, cap, code):
+    # a cap of 0 used to write a report holding only its header; null means no cap
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"eval": {"max_per_pair": cap}}))
+    out = tmp_path / "r.csv"
+    assert main(["evaluate", "--data", str(workdir / "data"), "--classifier", str(workdir / "clf.ckpt"),
+                 "--generator", str(workdir / "gen.ckpt"), "--config", str(cfg), "--out", str(out)]) == code
+    err = capsys.readouterr().err.splitlines()
+    if code:
+        assert len(err) == 1 and err[0].startswith("error: ValueError:") and "max_per_pair" in err[0]
+        assert not out.exists()
+    else:
+        assert err == [] and out.exists()
 
 
 def test_seed_env_override(tmp_path, monkeypatch):

@@ -88,12 +88,12 @@ class TestTrajectoryAndFirstCfe:
         z_s = np.array([2.0, 0.4])
         m = geo.make_mirror(W, b, 0, 1)
         traj = geo.sample_trajectory(z_s, m, W, b, steps=21)
-        assert len(traj.points) == 21
-        assert traj.points[0].kind == "sfe"
-        assert traj.points[10].kind == "projection"
-        assert traj.points[-1].kind == "reflection"
-        assert int(np.argmax(traj.points[0].p_multi)) == 0
-        assert int(np.argmax(traj.points[-1].p_multi)) == 1
+        assert traj.ks.shape == (21,) and traj.grid.shape == (21, 2) and traj.probs.shape == (21, 3)
+        assert (traj.ks[0], traj.ks[10], traj.ks[-1]) == (0.0, 0.5, 1.0)
+        assert np.array_equal(traj.grid[0], z_s)
+        assert abs(m.w @ traj.grid[10] + m.b) < 1e-12  # the projection
+        assert int(np.argmax(traj.probs[0])) == 0
+        assert int(np.argmax(traj.probs[-1])) == 1
 
     def test_first_cfe_after_midpoint(self):
         # class 2 dominates around the boundary, so the multiclass flip to the
@@ -103,12 +103,12 @@ class TestTrajectoryAndFirstCfe:
         m = geo.make_mirror(W, b, 0, 1)
         traj = geo.sample_trajectory(z_s, m, W, b, steps=21)
         first = geo.first_cfe(traj, tol=1e-3)
-        assert first.k > 0.5
+        assert type(first) is float and first > 0.5
         ks = np.linspace(0.0, 1.0, 10_001)
-        dense = next(k for k in ks if int(np.argmax(traj.point_at(float(k)).p_multi)) == 1)
-        assert abs(first.k - dense) <= 2e-3
+        dense = next(k for k in ks if int(np.argmax(head(W, b, traj.latent_at(float(k)))[1])) == 1)
+        assert abs(first - dense) <= 2e-3
         # the point just before the found k must not yet be the target
-        assert int(np.argmax(traj.point_at(first.k - 2e-3).p_multi)) != 1
+        assert int(np.argmax(head(W, b, traj.latent_at(first - 2e-3))[1])) != 1
 
     def test_no_flip_raises(self):
         # class 2 dominates the entire trajectory
@@ -128,7 +128,7 @@ class TestTrajectoryAndFirstCfe:
             W, b, z_s = rng.normal(size=(16, 4)), rng.normal(size=4), rng.normal(size=16)
             order = np.argsort(z_s @ W + b)
             m = geo.make_mirror(W, b, int(order[-1]), int(order[-2]))
-            ks = {geo.first_cfe(geo.sample_trajectory(z, m, W, b)).k
+            ks = {geo.first_cfe(geo.sample_trajectory(z, m, W, b))
                   for z in (z_s, np.nextafter(z_s, np.inf), np.nextafter(z_s, -np.inf))}
             assert ks == {0.5 + 0.05 / 64}  # the first bisection point past the projection
 
@@ -146,7 +146,7 @@ class TestTrajectoryAndFirstCfe:
         z_r, _ = geo.multiclass_reflection(z_s, m, W, b)
         traj = geo.sample_trajectory(z_s, m, W, b, steps=21, z_r_prime=z_r)
         assert np.allclose(traj.latent_at(0.5), 0.5 * (z_s + z_r), atol=1e-12)
-        assert np.allclose(traj.points[-1].z, z_r, atol=1e-12)
+        assert np.allclose(traj.grid[-1], z_r, atol=1e-12)
         assert np.array_equal(traj.latent_at(0.25), geo.position(z_s, m, 0.25, z_r))
 
     def test_position_is_the_closed_form_step(self):
@@ -159,10 +159,8 @@ class TestTrajectoryAndFirstCfe:
             assert np.array_equal(geo.position(z, m, k), z - 2.0 * k * geo.signed_distance(z, m) * m.unit)
 
     def test_trajectory_grid_is_bit_equal_to_position_and_head(self):
-        # the one-array grid and the bisection's point_at, against per-k position plus one-row head:
-        # latents bit-equal; the grid's one-product head within 1e-14, point_at's bit-equal
-        from mirrorcfe.classifier import head
-
+        # the one-array grid against per-k position plus one-row head: latents bit-equal, the grid's
+        # one-product head and pair confidence within 1e-14
         rng = np.random.default_rng(8)
         for case in range(200):
             n, c = int(rng.integers(2, 20)), int(rng.integers(2, 6))
@@ -172,40 +170,16 @@ class TestTrajectoryAndFirstCfe:
             s, t = (int(i) for i in rng.choice(c, size=2, replace=False))
             m = geo.make_mirror(W, b, s, t)
             z_r = rng.normal(size=n) if case % 2 else None
-            traj = geo.sample_trajectory(z_s, m, W, b, steps=int(rng.integers(2, 40)), z_r_prime=z_r)
-            extra = [traj.point_at(float(k)) for k in rng.uniform(size=3)]
-            for pt, tol in [(pt, 1e-14) for pt in traj.points] + [(pt, 0.0) for pt in extra]:
-                z = geo.position(z_s, m, pt.k, z_r)
-                assert pt.z.tobytes() == z.tobytes()
-                logits, probs = head(W, b, z)
-                assert np.max(np.abs(pt.p_multi - probs)) <= tol
-                assert abs(pt.q_pair - geo.pair_confidence(z, m)) <= tol
-                if tol == 0.0:
-                    assert (pt.logits.tobytes(), pt.p_multi.tobytes()) == (logits.tobytes(), probs.tobytes())
-
-    def test_points_are_the_eager_grid_build(self):
-        # the lazily built points, bit for bit as Trajectory built them eagerly: one array grid, the head
-        # and the pair confidence each as one product over it
-        rng = np.random.default_rng(9)
-        for case in range(100):
-            n, c = int(rng.integers(2, 20)), int(rng.integers(2, 6))
-            W, b, z_s = rng.normal(size=(n, c)), rng.normal(size=c), rng.normal(size=n)
-            m = geo.make_mirror(W, b, 0, 1)
-            z_r = rng.normal(size=n) if case % 2 else None
             steps = int(rng.integers(2, 40))
             traj = geo.sample_trajectory(z_s, m, W, b, steps=steps, z_r_prime=z_r)
-            assert "points" not in vars(traj)  # nothing built until read
-            scale, direction = geo._travel(z_s, m, z_r)
-            ks = np.linspace(0.0, 1.0, steps)
-            grid = z_s + (scale * ks)[:, None] * direction
-            grid[0] = z_s
-            logits, probs = head(W, b, grid)
-            q = geo.pair_confidence(grid, m)
-            eager = [(float(k), z.tobytes(), float(qq), lg.tobytes(), p.tobytes())
-                     for k, z, qq, lg, p in zip(ks, grid, q, logits, probs)]
-            assert [(pt.k, pt.z.tobytes(), pt.q_pair, pt.logits.tobytes(), pt.p_multi.tobytes())
-                    for pt in traj.points] == eager
-            assert traj.points is traj.points
+            assert traj.ks.tobytes() == np.linspace(0.0, 1.0, steps).tobytes()
+            q_grid = geo.pair_confidence(traj.grid, m)
+            for k, z_k, probs_k, q_k in zip(traj.ks, traj.grid, traj.probs, q_grid):
+                z = geo.position(z_s, m, float(k), z_r)
+                assert z_k.tobytes() == z.tobytes() == traj.latent_at(float(k)).tobytes()
+                _, probs = head(W, b, z)
+                assert np.max(np.abs(probs_k - probs)) <= 1e-14
+                assert abs(q_k - geo.pair_confidence(z, m)) <= 1e-14
 
     def test_position_with_z_r_prime_interpolates(self):
         rng = np.random.default_rng(7)
@@ -215,24 +189,26 @@ class TestTrajectoryAndFirstCfe:
         assert np.array_equal(geo.position(z, m, 1.0, z_r), z + (z_r - z))
 
 
-def _first_cfe_through_points(traj: geo.Trajectory, tol: float = 1e-3) -> geo.KfePoint:
-    """first_cfe as it was written on KfePoints: scan `points`, bisect through `point_at`."""
-    t = traj.mirror.target
-    flips = geo._leads(np.stack([pt.logits for pt in traj.points]), t)
-    if not flips.any():
+def _first_cfe_oracle(W, b, z_s, m, z_r, steps, tol=1e-3) -> float:
+    """The first CFE from the definition: scan the grid's logits for the first target lead, then bisect on
+    head(W, b, position(z_s, m, k, z_r)) between the grid points around it."""
+    t = m.target
+    traj = geo.sample_trajectory(z_s, m, W, b, steps=steps, z_r_prime=z_r)
+    leads = [geo._leads(lg, t) for lg in traj.logits]
+    if not any(leads):
         raise geo.NoFlipError(f"prediction never flips to class {t} by k=1 "
-                              f"(final argmax {int(np.argmax(traj.points[-1].p_multi))})")
-    i = int(np.argmax(flips))
+                              f"(final argmax {int(np.argmax(traj.probs[-1]))})")
+    i = leads.index(True)
     if i == 0:
-        return traj.points[0]
-    lo, hi = traj.points[i - 1].k, traj.points[i].k
+        return 0.0
+    lo, hi = float(traj.ks[i - 1]), float(traj.ks[i])
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if geo._leads(traj.point_at(mid).logits, t):
+        if geo._leads(head(W, b, geo.position(z_s, m, mid, z_r))[0], t):
             hi = mid
         else:
             lo = mid
-    return traj.point_at(hi)
+    return hi
 
 
 @settings(max_examples=300, deadline=None)
@@ -245,17 +221,16 @@ def test_first_cfe_on_the_logit_arrays_matches_the_point_bisection(seed, n, c, s
     t = int(rng.choice([i for i in range(c) if i != s]))
     m = geo.make_mirror(W, b, s, t)
     z_r = rng.normal(size=n) if multiclass else None
-    got, want = (geo.sample_trajectory(z_s, m, W, b, steps=steps, z_r_prime=z_r) for _ in range(2))
+    traj = geo.sample_trajectory(z_s, m, W, b, steps=steps, z_r_prime=z_r)
     try:
-        expected = _first_cfe_through_points(want)
+        expected = _first_cfe_oracle(W, b, z_s, m, z_r, steps)
     except geo.NoFlipError as err:
         with pytest.raises(geo.NoFlipError) as info:
-            geo.first_cfe(got)
+            geo.first_cfe(traj)
         assert str(info.value) == str(err)
         return
-    found = geo.first_cfe(got)
-    assert (found.k, found.z.tobytes(), found.logits.tobytes()) == (expected.k, expected.z.tobytes(),
-                                                                     expected.logits.tobytes())
+    found = geo.first_cfe(traj)
+    assert type(found) is float and found == expected
 
 
 class TestLbfgs:

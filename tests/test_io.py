@@ -186,6 +186,21 @@ def test_generator_width_must_be_an_integer(tmp_path, width):
     assert str(path) in str(info.value) and "\n" not in str(info.value)
 
 
+@pytest.mark.parametrize("in_channels", [3, 0, "1", 1.0, True, None], ids=["three", "zero", "str", "float", "bool",
+                                                                          "null"])
+def test_generator_manifest_in_channels_must_match_the_classifier(tmp_path, in_channels):
+    # the tensors fit the 1-channel classifier; only the manifest's echo disagrees, which used to load
+    from mirrorcfe.classifier import ClassifierConfig
+    from mirrorcfe.training import init_generator, load_generator
+
+    gen = init_generator(ClassifierConfig(), seed=0, ssc=False)
+    path = tmp_path / "g.ckpt"
+    save_checkpoint(path, "generator", gen.tensors, {**gen.config, "ssc": False, "in_channels": in_channels})
+    with pytest.raises(ValueError, match="manifest in_channels .* does not match the classifier's 1") as info:
+        load_generator(path, ClassifierConfig())
+    assert str(path) in str(info.value) and "\n" not in str(info.value)
+
+
 # -- byte fuzz: every malformed file ends in one ValueError-family error ------------------------
 
 _NUMBER = st.one_of(st.integers(-3, 3), st.integers(), st.floats(allow_nan=True, allow_infinity=True))

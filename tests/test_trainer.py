@@ -8,10 +8,11 @@ import pytest
 
 import mirrorcfe.autodiff as ad
 from mirrorcfe import classifier, training
+from mirrorcfe.checkpoint import load_checkpoint
 from mirrorcfe.classifier import checkpoint_checksum, featurize
 from mirrorcfe.training import (DECODE_CHUNK, ClassifierMutatedError, TrainConfig, _draw_k,
                                 generate_image, generate_images, init_discriminator, init_generator,
-                                load_discriminator, load_generator, sample_kfe_batch,
+                                load_generator, sample_kfe_batch,
                                 generator_forward, save_discriminator, save_generator, train_generator)
 
 
@@ -119,11 +120,13 @@ class TestTraining:
         gpath, dpath = tmp_path / "g.ckpt", tmp_path / "d.ckpt"
         save_generator(gpath, gen)
         save_discriminator(dpath, dis)
-        gback, dback = load_generator(gpath, clf.config), load_discriminator(dpath)
+        gback = load_generator(gpath, clf.config)
+        role, dback, _ = load_checkpoint(dpath)
+        assert role == "discriminator" and dback.keys() == dis.tensors.keys()
         for name in gen.tensors:
             assert np.array_equal(gback.tensors[name], gen.tensors[name])
         for name in dis.tensors:
-            assert np.array_equal(dback.tensors[name], dis.tensors[name])
+            assert np.array_equal(dback[name], dis.tensors[name])
         assert gback.ssc == gen.ssc
 
     def test_deterministic(self, tiny_sets, tiny_classifier):
