@@ -223,6 +223,10 @@ class TrainHyper:
     batch_size: int = 16
     seed: int = 0
 
+    def __post_init__(self):
+        if self.epochs <= 0 or self.batch_size <= 0:
+            raise ValueError("epochs and batch_size must be positive")
+
 
 def train_classifier(train_ds: LabeledDataset, test_ds: LabeledDataset | None,
                      hyper: TrainHyper, config: ClassifierConfig | None = None,

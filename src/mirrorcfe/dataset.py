@@ -31,6 +31,8 @@ class DatasetConfig:
         lo, hi = self.intensity_range
         if not (0.0 <= lo <= hi <= 1.0):
             raise ValueError("intensity_range must lie within [0, 1]")
+        if not self.classes:
+            raise ValueError("classes must name at least one shape kind")
         for kind in self.classes:
             if kind not in SHAPE_KINDS:
                 raise ValueError(f"unsupported shape kind {kind!r}; known: {SHAPE_KINDS}")

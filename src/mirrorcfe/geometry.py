@@ -77,24 +77,32 @@ def signed_distance(z: np.ndarray, mirror: Mirror) -> float:
     return float((mirror.w @ z + mirror.b) / np.linalg.norm(mirror.w))
 
 
-def _travel(z_s: np.ndarray, mirror: Mirror, z_r_prime: np.ndarray | None) -> tuple[float, np.ndarray]:
+def _travel(z_s: np.ndarray, mirror: Mirror, z_r_prime: np.ndarray | None) -> tuple[float | np.ndarray, np.ndarray]:
     """The k-step as (scale, direction): step k displaces z_s by (scale * k) * direction.
 
     Toward the binary reflection the scale is -2 d(z_s), d the signed
     distance, and the direction is w_hat; toward a given multiclass reflection
-    they are 1 and z_r_prime - z_s.
+    they are 1 and z_r_prime - z_s. For a stack of latents (R, N) the scale
+    holds one entry per row, each from that row's own `signed_distance` (one
+    product over the stack would differ from the per-row dots in the last bits).
     """
     if z_r_prime is None:
-        return -2.0 * signed_distance(z_s, mirror), mirror.unit
+        d = signed_distance(z_s, mirror) if z_s.ndim == 1 else np.array([signed_distance(z, mirror) for z in z_s])
+        return -2.0 * d, mirror.unit
     return 1.0, z_r_prime - z_s
 
 
-def _step(z_s: np.ndarray, k: float, scale: float, direction: np.ndarray) -> np.ndarray:
+def _displace(z_s: np.ndarray, amount, direction: np.ndarray) -> np.ndarray:
+    """z_s + amount * direction, with one amount per latent of z_s (a float for one latent)."""
+    return z_s + np.asarray(amount)[..., None] * direction
+
+
+def _step(z_s: np.ndarray, k: float, scale, direction: np.ndarray) -> np.ndarray:
     if not (0.0 <= k <= 1.0):
         raise ValueError(f"step factor k={k} outside [0, 1]")
     if k == 0.0:
         return z_s.copy()
-    return z_s + (scale * k) * direction
+    return _displace(z_s, scale * k, direction)
 
 
 def position(z_s: np.ndarray, mirror: Mirror, k: float, z_r_prime: np.ndarray | None = None) -> np.ndarray:
@@ -120,7 +128,11 @@ class Trajectory:
     The step's scale and direction are computed once; `grid` holds the
     latents, one row per k in `ks`, each bit-equal to `position` at its k, and
     the head runs on the whole grid in one product (`logits`, `probs`).
-    `latent_at` takes the same step at any k, as the first-CFE bisection does.
+    `latent_at` takes the same step at any k.
+
+    z_s is one latent (N,) or a stack of them (R, N). For a stack, `grid`,
+    `logits`, `probs` and `latent_at` gain a leading axis of R, and row i is
+    bit-equal to the trajectory of z_s[i] alone.
     """
 
     z_s: np.ndarray
@@ -130,17 +142,17 @@ class Trajectory:
     z_r_prime: np.ndarray | None = None
     steps: int = 21
     ks: np.ndarray = field(init=False, repr=False, compare=False)
-    grid: np.ndarray = field(init=False, repr=False, compare=False)  # (steps, N)
-    logits: np.ndarray = field(init=False, repr=False, compare=False)  # (steps, |classes|)
+    grid: np.ndarray = field(init=False, repr=False, compare=False)  # ([R,] steps, N)
+    logits: np.ndarray = field(init=False, repr=False, compare=False)  # ([R,] steps, |classes|)
     probs: np.ndarray = field(init=False, repr=False, compare=False)
-    _scale_direction: tuple[float, np.ndarray] = field(init=False, repr=False, compare=False)
+    _scale_direction: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         scale, direction = _travel(self.z_s, self.mirror, self.z_r_prime)
         ks = np.linspace(0.0, 1.0, self.steps)
-        grid = self.z_s + (scale * ks)[:, None] * direction
-        grid[0] = self.z_s  # k=0 is a copy of z_s, as in `position`: a zero step would turn -0.0 into 0.0
-        logits, probs = head(self.W, self.b, grid)
+        grid = _displace(self.z_s[..., None, :], np.multiply.outer(scale, ks), direction[..., None, :])
+        grid[..., 0, :] = self.z_s  # k=0 is a copy of z_s, as in `position`: a zero step would turn -0.0 into 0.0
+        logits, probs = head(self.W, self.b, grid)  # a stack's (R, steps, N) grid is one gemm per trajectory
         for name, value in (("_scale_direction", (scale, direction)), ("ks", ks), ("grid", grid),
                             ("logits", logits), ("probs", probs)):
             object.__setattr__(self, name, value)
@@ -151,7 +163,7 @@ class Trajectory:
 
 def sample_trajectory(z_s: np.ndarray, mirror: Mirror, W: np.ndarray, b: np.ndarray,
                       steps: int = 21, z_r_prime: np.ndarray | None = None) -> Trajectory:
-    """Uniform k-grid from z_s (k=0) to the reflection (k=1), z_r_prime if given."""
+    """Uniform k-grid from z_s (k=0) to the reflection (k=1), z_r_prime if given; row-wise for a stack z_s."""
     if steps < 2:
         raise ValueError(f"need at least 2 steps, got {steps}")
     return Trajectory(z_s=z_s, mirror=mirror, W=W, b=b, z_r_prime=z_r_prime, steps=steps)
@@ -164,36 +176,48 @@ def _leads(logits: np.ndarray, target: int) -> np.ndarray:
     return logits[..., target] - rivals.max(axis=-1) > FLIP_MARGIN
 
 
-def first_cfe(trajectory: Trajectory, tol: float = 1e-3) -> float:
-    """Smallest k whose multi-class prediction is the target, via bisection.
+def first_cfe_batch(trajectory: Trajectory, tol: float = 1e-3) -> np.ndarray:
+    """Smallest k whose multi-class prediction is the target, for each trajectory; NaN where it never flips.
 
-    Scans the trajectory grid's logits for the first flip, then bisects
+    Scans each trajectory grid's logits for the first flip, then bisects
     between the last unflipped and first flipped grid points until
-    |delta k| <= tol, on the head's logits at each midpoint. A point counts as
-    flipped only when the target leads by more than FLIP_MARGIN, so a flip at
-    the binary projection k = 0.5 is reported as the first bisection point
-    past it, whatever the last bits of the tie.
+    |delta k| <= tol, on the head's logits at each midpoint, all trajectories
+    at once. A point counts as flipped only when the target leads by more
+    than FLIP_MARGIN, so a flip at the binary projection k = 0.5 is reported
+    as the first bisection point past it, whatever the last bits of the tie.
+
+    A stack's midpoint logits are one product (gemm), which can differ from
+    one trajectory's one-row product (gemv) in the last bits: a decision can
+    only differ where the target's lead lies within rounding of FLIP_MARGIN.
     """
     if trajectory.steps < FIRST_CFE_MIN_STEPS:
         raise ValueError(f"first_cfe needs a trajectory of at least {FIRST_CFE_MIN_STEPS} steps")
     t = trajectory.mirror.target
     flips = _leads(trajectory.logits, t)
-    if not flips.any():
-        raise NoFlipError(
-            f"prediction never flips to class {t} by k=1 "
-            f"(final argmax {int(np.argmax(trajectory.probs[-1]))})")
-    flip_idx = int(np.argmax(flips))
-    if flip_idx == 0:
-        return float(trajectory.ks[0])
-    lo = float(trajectory.ks[flip_idx - 1])
-    hi = float(trajectory.ks[flip_idx])
-    while hi - lo > tol:
+    flip_idx = np.argmax(flips, axis=-1)
+    hi = trajectory.ks[flip_idx]
+    lo = np.where(flip_idx > 0, trajectory.ks[flip_idx - 1], hi)  # a flip at k=0, or none: nothing to bisect
+    scale, direction = trajectory._scale_direction
+    while True:
+        bisecting = hi - lo > tol
+        if not bisecting.any():
+            break
         mid = 0.5 * (lo + hi)
-        if _leads(trajectory.latent_at(mid) @ trajectory.W + trajectory.b, t):  # `head`'s logits, no softmax
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        # `head`'s logits at the midpoints, no softmax
+        leads = _leads(_displace(trajectory.z_s, scale * mid, direction) @ trajectory.W + trajectory.b, t)
+        hi = np.where(bisecting & leads, mid, hi)
+        lo = np.where(bisecting & ~leads, mid, lo)
+    return np.where(flips.any(axis=-1), hi, np.nan)
+
+
+def first_cfe(trajectory: Trajectory, tol: float = 1e-3) -> float:
+    """`first_cfe_batch` of one trajectory; raises NoFlipError where the prediction never flips."""
+    k = float(first_cfe_batch(trajectory, tol))
+    if np.isnan(k):
+        raise NoFlipError(
+            f"prediction never flips to class {trajectory.mirror.target} by k=1 "
+            f"(final argmax {int(np.argmax(trajectory.probs[-1]))})")
+    return k
 
 
 # -- L-BFGS -------------------------------------------------------------------
@@ -305,11 +329,12 @@ def kfe_feature(f_s_last: np.ndarray, z_s: np.ndarray, k: float, mirror: Mirror,
     """Shift the last-layer feature map so its GAP lands on the k-step latent.
 
     Every spatial cell takes the same travel: f_k = f_s + z_delta broadcast
-    over the spatial grid, which keeps GAP(f_k) == z_k by linearity.
+    over the spatial grid, which keeps GAP(f_k) == z_k by linearity. A stack
+    of maps (R, C_l, H_l, W_l) with its latents (R, N) shifts row-wise,
+    each row bit-equal to its own shift.
     """
-    gap = f_s_last.mean(axis=(1, 2))
-    if np.max(np.abs(gap - z_s)) > 1e-9:
-        raise ValueError("GAP(f_s_last) does not match z_s (max deviation "
-                         f"{np.max(np.abs(gap - z_s)):.3e})")
+    deviation = np.max(np.abs(f_s_last.mean(axis=(-2, -1)) - z_s))
+    if deviation > 1e-9:
+        raise ValueError(f"GAP(f_s_last) does not match z_s (max deviation {deviation:.3e})")
     scale, direction = _travel(z_s, mirror, z_r_prime)
-    return f_s_last + ((scale * k) * direction)[:, None, None]
+    return f_s_last + (np.asarray(scale * k)[..., None] * direction)[..., None, None]

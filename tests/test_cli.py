@@ -411,6 +411,48 @@ def test_mistyped_config_value_one_error_line(workdir, tmp_path, capsys, section
     assert not out.exists()
 
 
+@pytest.mark.parametrize("section, key, value, word", [
+    ("classifier", "epochs", 0, "epochs and batch_size must be positive"),  # wrote an untrained checkpoint
+    ("classifier", "epochs", -1, "epochs and batch_size must be positive"),
+    ("classifier", "batch_size", 0, "epochs and batch_size must be positive"),  # range() arg 3 must not be zero
+    ("classifier", "batch_size", -4, "epochs and batch_size must be positive"),  # ran no step, logged loss nan
+    ("dataset", "classes", [], "classes must name at least one shape kind"),  # wrote a header-only labels.csv
+])
+def test_config_value_out_of_range_one_error_line(workdir, tmp_path, capsys, section, key, value, word):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({section: {key: value}}))
+    flags = {"classifier": ["train-classifier", "--data", str(workdir / "data")],
+             "dataset": ["make-dataset"]}[section]
+    out = tmp_path / "out"
+    assert main([*flags, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: ValueError: {word}"]
+    assert not out.exists()
+
+
+def test_evaluate_worker_error_one_error_line(workdir, tmp_path, capsys, monkeypatch):
+    # a decode that overflows in a forked worker fails the command as it would in-process
+    import multiprocessing
+
+    from mirrorcfe import evaluation
+    from mirrorcfe.training import load_generator, save_generator
+
+    gen = load_generator(workdir / "gen.ckpt", load_classifier(workdir / "clf.ckpt").config)
+    gen.tensors["g_conv2_w"] = np.full_like(gen.tensors["g_conv2_w"], 1e308)
+    save_generator(tmp_path / "gen.ckpt", gen)
+    monkeypatch.setattr(evaluation, "FORK_MIN_ROWS", 1)  # the miniature split has too few rows to fan out
+    monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 2)
+    out = tmp_path / "r.csv"
+    pairs = ",".join(f"{s}:{t}" for s in range(4) for t in range(4) if s != t)
+    assert main(["evaluate", "--data", str(workdir / "data"), "--classifier", str(workdir / "clf.ckpt"),
+                 "--generator", str(tmp_path / "gen.ckpt"), "--pairs", pairs, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("error:")] == [
+        "error: NumericOverflowError: conv2d produced non-finite values"]
+    assert multiprocessing.active_children() == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("cap, code", [(0, 1), (-1, 1), (None, 0)])
 def test_evaluate_max_per_pair(workdir, tmp_path, capsys, cap, code):
     # a cap of 0 used to write a report holding only its header; null means no cap

@@ -1,6 +1,8 @@
 """Evaluation metrics: blur, denoised validity, faithfulness, suite report."""
 
 import csv
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from mirrorcfe.classifier import featurize
 from mirrorcfe.evaluation import (denoised_validity, evaluate_suite, faithfulness,
                                   gaussian_blur, gaussian_kernel)
-from mirrorcfe.training import generate_image
+from mirrorcfe.training import generate_image, init_generator
 
 
 def test_kernel_normalized():
@@ -98,6 +100,7 @@ def test_evaluate_suite_decodes_once_per_row(tiny_classifier, tiny_sets, tiny_ge
             return fn(*args)
         return wrapper
 
+    monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 1)  # the counters live in this process
     monkeypatch.setattr(evaluation, "featurize_batch", counted("featurize_batch", evaluation.featurize_batch, 1))
     monkeypatch.setattr(evaluation, "generate_images", counted("generate_images", evaluation.generate_images, 2))
     pairs = [(s, t) for s in range(4) for t in range(4) if s != t]
@@ -155,3 +158,61 @@ def test_blur_of_a_stack_is_the_per_channel_loop():
         for image, blurred in zip(images, batch):
             assert blurred.tobytes() == reference(image, size, sigma).tobytes()
             assert gaussian_blur(image, size, sigma).tobytes() == blurred.tobytes()
+
+
+ALL_PAIRS = [(s, t) for s in range(4) for t in range(4) if s != t]
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """Call with a worker count to run evaluate_suite's pair passes on that many workers, whatever the
+    row count; with more than one, each pass must run outside this process."""
+    from mirrorcfe import evaluation
+
+    caller, real = os.getpid(), evaluation._pair_rows
+
+    def outside(*args):
+        assert os.getpid() != caller, "a pair pass ran in the calling process"
+        return real(*args)
+
+    def use(workers: int) -> None:
+        monkeypatch.setattr(evaluation, "FORK_MIN_ROWS", 1)
+        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(evaluation, "_pair_rows", outside if workers > 1 else real)
+
+    return use
+
+
+@pytest.mark.parametrize("ssc", [False, True], ids=["plain", "ssc"])
+@pytest.mark.parametrize("cap", [None, 2], ids=["uncapped", "capped"])
+def test_forked_report_is_byte_identical_to_one_worker(tiny_classifier, tiny_sets, tiny_generator, forked,
+                                                      tmp_path, ssc, cap):
+    clf, _ = tiny_classifier
+    _, test_ds = tiny_sets
+    if ssc:
+        gen = init_generator(clf.config, seed=0, ssc=True)
+        gen.config.update(rho_lower=0.2, rho_upper=0.8)
+    else:
+        gen = tiny_generator[0]
+    reports = {}
+    for workers in (1, 2, 3):
+        forked(workers)
+        report = evaluate_suite(clf, gen, test_ds, ALL_PAIRS, max_per_pair=cap)
+        assert multiprocessing.active_children() == []
+        report.write_csv(tmp_path / f"{workers}.csv")
+        reports[workers] = ((tmp_path / f"{workers}.csv").read_bytes(), repr(report.aggregates))
+    assert len({row["source"] for row in report.rows}) >= 2  # more than one pair had rows to fan out
+    assert reports[2] == reports[1] and reports[3] == reports[1]
+
+
+def test_worker_error_reraises_and_leaves_no_process(tiny_classifier, tiny_sets, forked):
+    from mirrorcfe.autodiff import NumericOverflowError
+
+    clf, _ = tiny_classifier
+    _, test_ds = tiny_sets
+    gen = init_generator(clf.config, seed=0, ssc=False)
+    gen.tensors["g_conv2_w"] = np.full_like(gen.tensors["g_conv2_w"], 1e308)
+    forked(2)
+    with np.errstate(over="ignore"), pytest.raises(NumericOverflowError, match="^conv2d produced non-finite values$"):
+        evaluate_suite(clf, gen, test_ds, ALL_PAIRS)
+    assert multiprocessing.active_children() == []

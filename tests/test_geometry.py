@@ -233,6 +233,33 @@ def test_first_cfe_on_the_logit_arrays_matches_the_point_bisection(seed, n, c, s
     assert type(found) is float and found == expected
 
 
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 16), c=st.integers(2, 6), rows=st.integers(1, 12),
+       scale=st.sampled_from([1e-3, 1e-1, 1.0, 10.0]), steps=st.integers(21, 41), multiclass=st.booleans())
+def test_first_cfe_batch_rows_match_single_trajectories(seed, n, c, rows, scale, steps, multiclass):
+    # each row of a stacked trajectory: the same grid and logits bits as its own trajectory, and the
+    # same first-CFE float, or NaN exactly where the single trajectory raises NoFlipError
+    rng = np.random.default_rng(seed)
+    W, b, z_s = rng.normal(size=(n, c)) * scale, rng.normal(size=c), rng.normal(size=(rows, n))
+    s, t = (int(i) for i in rng.choice(c, size=2, replace=False))
+    m = geo.make_mirror(W, b, s, t)
+    z_r = rng.normal(size=(rows, n)) if multiclass else None
+    stacked = geo.sample_trajectory(z_s, m, W, b, steps=steps, z_r_prime=z_r)
+    found = geo.first_cfe_batch(stacked)
+    assert found.shape == (rows,)
+    for i in range(rows):
+        traj = geo.sample_trajectory(z_s[i], m, W, b, steps=steps, z_r_prime=None if z_r is None else z_r[i])
+        assert stacked.grid[i].tobytes() == traj.grid.tobytes()
+        assert stacked.logits[i].tobytes() == traj.logits.tobytes()
+        assert stacked.latent_at(1.0)[i].tobytes() == traj.latent_at(1.0).tobytes()
+        try:
+            expected = geo.first_cfe(traj)
+        except geo.NoFlipError:
+            assert np.isnan(found[i])
+            continue
+        assert found[i] == expected
+
 class TestLbfgs:
     def test_quadratic_matches_direct_solve(self):
         rng = np.random.default_rng(1)
@@ -334,6 +361,19 @@ class TestKfeFeature:
         m = _mirror(rng.normal(size=8), 0.0)
         f_k = geo.kfe_feature(f, z, 0.5, m, z_r_prime=z_r)
         assert np.allclose(f_k.mean(axis=(1, 2)), z + 0.5 * (z_r - z), atol=1e-9)
+
+    def test_stack_shifts_row_wise(self):
+        rng = np.random.default_rng(9)
+        f = rng.normal(size=(5, 8, 2, 2))
+        z = f.mean(axis=(2, 3))
+        z_r = rng.normal(size=(5, 8))
+        m = _mirror(rng.normal(size=8), 0.3)
+        for k in (0.0, 0.25, 1.0):
+            for given_r in (None, z_r):
+                stacked = geo.kfe_feature(f, z, k, m, z_r_prime=given_r)
+                for i in range(5):
+                    row = geo.kfe_feature(f[i], z[i], k, m, z_r_prime=None if given_r is None else z_r[i])
+                    assert stacked[i].tobytes() == row.tobytes()
 
     def test_gap_mismatch_rejected(self):
         f = np.ones((2, 2, 2))
