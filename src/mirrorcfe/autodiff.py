@@ -26,12 +26,11 @@ CLAMP = 1e-12
 
 
 class ShapeError(ValueError):
-    """Raised when an op receives inputs of incompatible shapes."""
+    """Raised when an op receives inputs of incompatible shapes; its args are (op, *shapes)."""
 
-    def __init__(self, op: str, *shapes):
-        super().__init__(f"{op}: incompatible shapes {[tuple(s) for s in shapes]}")
-        self.op = op
-        self.shapes = shapes
+    def __str__(self) -> str:
+        op, *shapes = self.args
+        return f"{op}: incompatible shapes {[tuple(s) for s in shapes]}"
 
 
 class NumericOverflowError(ArithmeticError):

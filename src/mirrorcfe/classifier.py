@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -123,6 +123,14 @@ def forward_graph(graph_params: dict, config: ClassifierConfig, x) -> dict:
     return out
 
 
+def check_images(config: ClassifierConfig, images) -> None:
+    """Raise a ShapeError at the first image that is not (in_channels, image_size, image_size)."""
+    shape = (config.in_channels, config.image_size, config.image_size)
+    for image in images:
+        if image.shape != shape:
+            raise ad.ShapeError("featurize", image.shape, shape)
+
+
 def featurize_batch(params: ClassifierParams, images) -> list[FeatureStack]:
     """Run (C, H, W) images through the frozen classifier, FEATURIZE_CHUNK per forward pass.
 
@@ -131,10 +139,7 @@ def featurize_batch(params: ClassifierParams, images) -> list[FeatureStack]:
     `z @ W` (gemm) differs from the one-row product (gemv) in the last bits.
     """
     cfg = params.config
-    shape = (cfg.in_channels, cfg.image_size, cfg.image_size)
-    for image in images:
-        if image.shape != shape:
-            raise ad.ShapeError("featurize", image.shape, shape)
+    check_images(cfg, images)
     stacks = []
     for start in range(0, len(images), FEATURIZE_CHUNK):
         nodes = encode_graph(params.tensors, cfg, np.stack(images[start : start + FEATURIZE_CHUNK]))
@@ -187,30 +192,20 @@ def checkpoint_checksum(params: ClassifierParams) -> str:
 
 
 def save_classifier(path, params: ClassifierParams) -> None:
-    cfg = params.config
-    save_checkpoint(path, "classifier", params.tensors, {
-        "image_size": cfg.image_size,
-        "in_channels": cfg.in_channels,
-        "stage_channels": list(cfg.stage_channels),
-        "num_classes": cfg.num_classes,
-        "kernel": cfg.kernel,
-    })
+    save_checkpoint(path, "classifier", params.tensors, asdict(params.config))
 
 
 def load_classifier(path) -> ClassifierParams:
     role, tensors, cfg = load_checkpoint(path)
     if role != "classifier":
         raise ValueError(f"{path}: expected a classifier checkpoint, got role {role!r}")
+    keys = sorted(f.name for f in fields(ClassifierConfig))
+    if sorted(cfg) != keys:
+        raise ValueError(f"{path}: classifier config keys {sorted(cfg)} are not {keys}")
     try:
-        config = ClassifierConfig(
-            image_size=cfg["image_size"],
-            in_channels=cfg["in_channels"],
-            stage_channels=tuple(cfg["stage_channels"]),
-            num_classes=cfg["num_classes"],
-            kernel=cfg["kernel"],
-        )
+        config = ClassifierConfig(**{**cfg, "stage_channels": tuple(cfg["stage_channels"])})
         expected = tensor_shapes(config)
-    except (KeyError, TypeError, IndexError) as err:
+    except (TypeError, IndexError) as err:
         raise ValueError(f"{path}: malformed classifier config ({type(err).__name__}: {err})") from None
     check_tensors(path, tensors, expected)
     return ClassifierParams(config, tensors)
@@ -233,13 +228,25 @@ def train_classifier(train_ds: LabeledDataset, test_ds: LabeledDataset | None,
                      log=None) -> tuple[ClassifierParams, list[dict]]:
     """Train with Adam on one-hot KL divergence (== cross-entropy).
 
+    Without a config, the input size comes from the first train image and
+    the class count from the distinct labels of both splits. Every image must
+    have the config's input shape and every label lie in [0, num_classes).
     Deterministic for a fixed hyper/config. Returns the frozen parameters and
     a per-epoch history of mean loss and train/test accuracy.
     """
     if len(train_ds) == 0:
         raise ValueError("train split is empty")
+    splits = [train_ds] if test_ds is None else [train_ds, test_ds]
     if config is None:
-        config = ClassifierConfig(num_classes=len(set(train_ds.labels)))
+        in_channels, image_size = train_ds.images[0].shape[:2]
+        config = ClassifierConfig(image_size=image_size, in_channels=in_channels,
+                                  num_classes=len({label for ds in splits for label in ds.labels}))
+    for ds in splits:
+        check_images(config, ds.images)
+        for label in ds.labels:
+            if not 0 <= label < config.num_classes:
+                raise ValueError(f"{ds.split} label {label} outside [0, {config.num_classes}): "
+                                 "labels must be the class indices 0 to num_classes - 1")
     params = init_params(config, hyper.seed)
     gp = {k: ad.Tensor(v.copy(), trainable=True) for k, v in params.tensors.items()}
     state = ad.AdamState(gp, lr=hyper.lr)

@@ -13,12 +13,11 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry
-from .classifier import (ClassifierConfig, TrainHyper, featurize, featurize_batch, load_classifier,
-                         save_classifier, train_classifier)
+from .classifier import TrainHyper, featurize, featurize_batch, load_classifier, save_classifier, train_classifier
 from .dataset import DatasetConfig, LabeledDataset, generate_dataset, split
 from .evaluation import evaluate_suite, write_csv
 from .pgm import quantize, read_pgm, write_pgm
-from .training import TrainConfig, load_generator, save_discriminator, save_generator, train_generator
+from .training import TrainConfig, generate_image, load_generator, save_discriminator, save_generator, train_generator
 
 
 def _defaults(cls) -> dict:
@@ -150,8 +149,7 @@ def cmd_train_classifier(args) -> None:
     section = _seed_override(load_config(args.config).get("classifier", {}))
     train_ds, test_ds = read_dataset_dir(Path(args.data))
     hyper = TrainHyper(**section)
-    config = ClassifierConfig(num_classes=len(set(train_ds.labels + test_ds.labels)))
-    params, history = train_classifier(train_ds, test_ds, hyper, config,
+    params, history = train_classifier(train_ds, test_ds, hyper,
                                        log=lambda r: print(f"epoch {r['epoch']}: loss {r['loss']:.4f} "
                                                            f"train {r['train_acc']:.3f} test {r.get('test_acc', float('nan')):.3f}"))
     save_classifier(args.out, params)
@@ -174,8 +172,6 @@ def cmd_train_generator(args) -> None:
 
 
 def cmd_explain(args) -> None:
-    from .training import generate_image
-
     if args.steps < 2:
         raise ValueError(f"explain needs at least 2 steps (k = 0 and k = 1), got {args.steps}")
     clf = load_classifier(args.classifier)

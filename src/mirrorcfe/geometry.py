@@ -10,7 +10,7 @@ swap while the remaining logits stay put.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,19 +30,10 @@ class NoFlipError(RuntimeError):
     """The multi-class prediction never flips to the target by k=1."""
 
 
-class LbfgsStalledError(RuntimeError):
-    """Line search failed; carries the best iterate found so far."""
-
-    def __init__(self, message, x_best, f_best):
-        super().__init__(message)
-        self.x_best = x_best
-        self.f_best = f_best
-
-
 class ReflectionUnreachableError(RuntimeError):
     """Target logits could not be reached; carries the residual and iterate."""
 
-    def __init__(self, message, residual, z_best):
+    def __init__(self, message, residual=None, z_best=None):  # pickle rebuilds from the message, then the dict
         super().__init__(message)
         self.residual = residual
         self.z_best = z_best
@@ -123,42 +114,31 @@ def pair_confidence(z: np.ndarray, mirror: Mirror) -> float | np.ndarray:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A uniform k-grid of `steps` points from z_s (k=0) to k=1, kept as arrays.
+    """A uniform k-grid from z_s (k=0) to k=1, kept as arrays; `sample_trajectory` builds it.
 
-    The step's scale and direction are computed once; `grid` holds the
-    latents, one row per k in `ks`, each bit-equal to `position` at its k, and
-    the head runs on the whole grid in one product (`logits`, `probs`).
-    `latent_at` takes the same step at any k.
+    Step k displaces z_s by (scale * k) * direction, see `_travel`. `grid`
+    holds the latents, one row per k in `ks`, each bit-equal to `position` at
+    its k, and `logits` and `probs` are the head on the whole grid in one
+    product. `latent_at` takes the same step at any k.
 
-    z_s is one latent (N,) or a stack of them (R, N). For a stack, `grid`,
-    `logits`, `probs` and `latent_at` gain a leading axis of R, and row i is
-    bit-equal to the trajectory of z_s[i] alone.
+    z_s is one latent (N,) or a stack of them (R, N). For a stack, `scale`,
+    `grid`, `logits`, `probs` and `latent_at` gain a leading axis of R, and
+    row i is bit-equal to the trajectory of z_s[i] alone.
     """
 
     z_s: np.ndarray
     mirror: Mirror
     W: np.ndarray
     b: np.ndarray
-    z_r_prime: np.ndarray | None = None
-    steps: int = 21
-    ks: np.ndarray = field(init=False, repr=False, compare=False)
-    grid: np.ndarray = field(init=False, repr=False, compare=False)  # ([R,] steps, N)
-    logits: np.ndarray = field(init=False, repr=False, compare=False)  # ([R,] steps, |classes|)
-    probs: np.ndarray = field(init=False, repr=False, compare=False)
-    _scale_direction: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        scale, direction = _travel(self.z_s, self.mirror, self.z_r_prime)
-        ks = np.linspace(0.0, 1.0, self.steps)
-        grid = _displace(self.z_s[..., None, :], np.multiply.outer(scale, ks), direction[..., None, :])
-        grid[..., 0, :] = self.z_s  # k=0 is a copy of z_s, as in `position`: a zero step would turn -0.0 into 0.0
-        logits, probs = head(self.W, self.b, grid)  # a stack's (R, steps, N) grid is one gemm per trajectory
-        for name, value in (("_scale_direction", (scale, direction)), ("ks", ks), ("grid", grid),
-                            ("logits", logits), ("probs", probs)):
-            object.__setattr__(self, name, value)
+    scale: float | np.ndarray
+    direction: np.ndarray
+    ks: np.ndarray
+    grid: np.ndarray  # ([R,] steps, N)
+    logits: np.ndarray  # ([R,] steps, |classes|)
+    probs: np.ndarray
 
     def latent_at(self, k: float) -> np.ndarray:
-        return _step(self.z_s, k, *self._scale_direction)
+        return _step(self.z_s, k, self.scale, self.direction)
 
 
 def sample_trajectory(z_s: np.ndarray, mirror: Mirror, W: np.ndarray, b: np.ndarray,
@@ -166,7 +146,12 @@ def sample_trajectory(z_s: np.ndarray, mirror: Mirror, W: np.ndarray, b: np.ndar
     """Uniform k-grid from z_s (k=0) to the reflection (k=1), z_r_prime if given; row-wise for a stack z_s."""
     if steps < 2:
         raise ValueError(f"need at least 2 steps, got {steps}")
-    return Trajectory(z_s=z_s, mirror=mirror, W=W, b=b, z_r_prime=z_r_prime, steps=steps)
+    scale, direction = _travel(z_s, mirror, z_r_prime)
+    ks = np.linspace(0.0, 1.0, steps)
+    grid = _displace(z_s[..., None, :], np.multiply.outer(scale, ks), direction[..., None, :])
+    grid[..., 0, :] = z_s  # k=0 is a copy of z_s, as in `position`: a zero step would turn -0.0 into 0.0
+    logits, probs = head(W, b, grid)  # a stack's (R, steps, N) grid is one gemm per trajectory
+    return Trajectory(z_s, mirror, W, b, scale, direction, ks, grid, logits, probs)
 
 
 def _leads(logits: np.ndarray, target: int) -> np.ndarray:
@@ -190,14 +175,14 @@ def first_cfe_batch(trajectory: Trajectory, tol: float = 1e-3) -> np.ndarray:
     one trajectory's one-row product (gemv) in the last bits: a decision can
     only differ where the target's lead lies within rounding of FLIP_MARGIN.
     """
-    if trajectory.steps < FIRST_CFE_MIN_STEPS:
+    if len(trajectory.ks) < FIRST_CFE_MIN_STEPS:
         raise ValueError(f"first_cfe needs a trajectory of at least {FIRST_CFE_MIN_STEPS} steps")
     t = trajectory.mirror.target
     flips = _leads(trajectory.logits, t)
     flip_idx = np.argmax(flips, axis=-1)
     hi = trajectory.ks[flip_idx]
     lo = np.where(flip_idx > 0, trajectory.ks[flip_idx - 1], hi)  # a flip at k=0, or none: nothing to bisect
-    scale, direction = trajectory._scale_direction
+    scale, direction = trajectory.scale, trajectory.direction
     while True:
         bisecting = hi - lo > tol
         if not bisecting.any():
@@ -236,8 +221,8 @@ def lbfgs_minimize(fun, x0: np.ndarray, memory: int = 10, grad_tol: float = 1e-8
                    max_iter: int = 500, max_halvings: int = 40) -> LbfgsResult:
     """Limited-memory BFGS with two-loop recursion and Armijo backtracking.
 
-    fun(x) returns (value, gradient). Deterministic. Raises LbfgsStalledError
-    if the line search fails after max_halvings step halvings.
+    fun(x) returns (value, gradient). Deterministic. If the line search fails
+    after max_halvings step halvings, returns the current iterate unconverged.
     """
     armijo_c = 1e-4
     x = np.asarray(x0, dtype=np.float64).copy()
@@ -275,8 +260,8 @@ def lbfgs_minimize(fun, x0: np.ndarray, memory: int = 10, grad_tol: float = 1e-8
             if np.isfinite(f_new) and f_new <= f + armijo_c * step * slope:
                 break
             step *= 0.5
-        else:
-            raise LbfgsStalledError(f"line search stalled at iteration {it}", x, float(f))
+        else:  # stalled
+            return LbfgsResult(x, float(f), it, gnorm, False)
         s_vec = x_new - x
         y_vec = g_new - g
         if s_vec @ y_vec > 1e-16:
@@ -312,10 +297,7 @@ def multiclass_reflection(z_s: np.ndarray, mirror: Mirror, W: np.ndarray, b: np.
         return float(r @ r), 2.0 * (W @ r)
 
     z0 = position(z_s, mirror, 1.0)
-    try:
-        result = lbfgs_minimize(fun, z0, grad_tol=1e-12, max_iter=max_iter)
-    except LbfgsStalledError as err:
-        result = LbfgsResult(err.x_best, err.f_best, max_iter, np.nan, False)
+    result = lbfgs_minimize(fun, z0, grad_tol=1e-12, max_iter=max_iter)
     residual = float(np.linalg.norm(W.T @ result.x + b - target))
     if residual > residual_tol:
         raise ReflectionUnreachableError(

@@ -16,7 +16,7 @@ from . import autodiff as ad
 from . import cam as camlib
 from . import geometry, losses
 from .checkpoint import check_tensors, load_checkpoint, save_checkpoint
-from .classifier import ClassifierParams, checkpoint_checksum, classify, forward_graph, he_normal
+from .classifier import ClassifierParams, checkpoint_checksum, classify, featurize, forward_graph, he_normal
 from .dataset import LabeledDataset
 
 # Feature maps per generator pass in generate_images. Measured on a 2-vCPU VM with a 2 MB L2 cache per
@@ -29,7 +29,7 @@ WIDTH = 32  # channels of every hidden generator layer
 class TrainingDivergedError(RuntimeError):
     """Loss went non-finite; carries the last good parameter snapshot."""
 
-    def __init__(self, message, generator, discriminator):
+    def __init__(self, message, generator=None, discriminator=None):  # pickle rebuilds from the message, then the dict
         super().__init__(message)
         self.generator = generator
         self.discriminator = discriminator
@@ -246,8 +246,6 @@ def train_generator(clf: ClassifierParams, dataset: LabeledDataset, cfg: TrainCo
     Returns generator/discriminator parameters and a per-step loss history
     with keys epoch, step, cls, adv_g, adv_d, rec, fea, tri, total.
     """
-    from .classifier import featurize  # local import to avoid cycle at module load
-
     checksum_before = checkpoint_checksum(clf)
     gen0 = init_generator(clf.config, cfg.seed, cfg.ssc)
     if cfg.ssc:  # the skip's CAM threshold bounds are saved with the weights and served as trained

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from mirrorcfe.classifier import featurize, load_classifier
 from mirrorcfe.cli import _SCHEMA, load_config, main, read_dataset_dir
-from mirrorcfe.pgm import read_pgm
+from mirrorcfe.pgm import read_pgm, write_pgm
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -236,6 +237,61 @@ def test_malformed_labels_csv_one_error_line(tmp_path, capsys, header, row, word
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ValueError:")
     assert str(data / "labels.csv") in err[0] and word in err[0]
+
+
+def _relabel_class_3(label: str):
+    return lambda rows: [row.update(label=label) for row in rows if row["label"] == "3"]
+
+
+@pytest.mark.parametrize("edit, word", [
+    (_relabel_class_3("7"), "ValueError: train label 7 outside [0, 4)"),
+    (_relabel_class_3("-1"), "ValueError: train label -1 outside [0, 4)"),
+    (lambda rows: rows[1].update(filename="small.pgm"),
+     "ShapeError: featurize: incompatible shapes [(1, 8, 8), (1, 16, 16)]"),
+], ids=["label-7", "label-minus-1", "mixed-size"])
+def test_bad_training_data_one_error_line(workdir, tmp_path, capsys, edit, word):
+    # 7 used to leak numpy's IndexError, -1 to train with those images counted as class 3, and an 8x8
+    # image among 16x16 ones to end in "all input arrays must have the same shape"
+    data = tmp_path / "data"
+    shutil.copytree(workdir / "data", data)
+    write_pgm(data / "small.pgm", np.zeros((1, 8, 8)))
+    with open(data / "labels.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    edit(rows)
+    with open(data / "labels.csv", "w", newline="") as f:
+        writer = csv.DictWriter(f, fieldnames=["filename", "label", "split"])
+        writer.writeheader()
+        writer.writerows(rows)
+    out = tmp_path / "clf.ckpt"
+    assert main(["train-classifier", "--data", str(data), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {word}")
+    assert "epoch" not in captured.out and not out.exists()  # rejected before the first step
+
+
+def test_pipeline_takes_the_image_size_from_the_data(tmp_path):
+    # an image_size other than 16 used to train a classifier for 16x16 inputs on 8x8 images
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"dataset": {"image_size": 8, "per_class": 4, "seed": 0, "train_fraction": 0.5},
+                               "classifier": {"epochs": 2, "batch_size": 4, "seed": 0},
+                               "generator": {"epochs": 1, "batch_size": 4, "seed": 0}}))
+    data, clf, gen = tmp_path / "data", tmp_path / "clf.ckpt", tmp_path / "gen.ckpt"
+    assert main(["make-dataset", "--config", str(cfg), "--out", str(data)]) == 0
+    assert main(["train-classifier", "--data", str(data), "--config", str(cfg), "--out", str(clf)]) == 0
+    assert load_classifier(clf).config.image_size == 8
+    assert main(["train-generator", "--data", str(data), "--classifier", str(clf), "--config", str(cfg),
+                 "--out", str(gen)]) == 0
+    image = data / "img_00000.pgm"
+    target = (int(np.argmax(featurize(load_classifier(clf), read_pgm(image)).probs)) + 1) % 4
+    assert main(["explain", "--classifier", str(clf), "--generator", str(gen), "--image", str(image),
+                 "--target", str(target), "--steps", "3", "--out", str(tmp_path / "frames")]) == 0
+    assert read_pgm(tmp_path / "frames" / "frame_002.pgm").shape == (1, 8, 8)
+    pairs = ",".join(f"{s}:{t}" for s in range(4) for t in range(4) if s != t)
+    assert main(["evaluate", "--data", str(data), "--classifier", str(clf), "--generator", str(gen),
+                 "--pairs", pairs, "--out", str(tmp_path / "r.csv")]) == 0
+    with open(tmp_path / "r.csv", newline="") as f:
+        assert len(list(csv.DictReader(f))) > 0
 
 
 @pytest.mark.parametrize("pairs", ["0-1", "0:1,2", "0:1:2", "a:b", ""])

@@ -1,12 +1,17 @@
 """Evaluation metrics: blur, denoised validity, faithfulness, suite report."""
 
 import csv
+import importlib
 import multiprocessing
 import os
+import pickle
+import pkgutil
 
 import numpy as np
 import pytest
 
+import mirrorcfe
+from mirrorcfe import autodiff, geometry, losses, training
 from mirrorcfe.classifier import featurize
 from mirrorcfe.evaluation import (denoised_validity, evaluate_suite, faithfulness,
                                   gaussian_blur, gaussian_kernel)
@@ -215,4 +220,62 @@ def test_worker_error_reraises_and_leaves_no_process(tiny_classifier, tiny_sets,
     forked(2)
     with np.errstate(over="ignore"), pytest.raises(NumericOverflowError, match="^conv2d produced non-finite values$"):
         evaluate_suite(clf, gen, test_ds, ALL_PAIRS)
+    assert multiprocessing.active_children() == []
+
+
+# Each exception class a mirrorcfe module defines, with the args it is raised with.
+RAISED = {
+    autodiff.ShapeError: ("featurize", (1, 2), (1, 16, 16)),
+    autodiff.NumericOverflowError: ("conv2d produced non-finite values",),
+    autodiff.NonScalarLossError: ("backward() needs a scalar loss, got shape (2,)",),
+    geometry.DegenerateMirrorError: ("classes 0 and 1 have identical weight columns",),
+    geometry.NoFlipError: ("prediction never flips to class 1 by k=1 (final argmax 0)",),
+    geometry.ReflectionUnreachableError: ("reflection target logits unreachable", 0.25, np.arange(4.0)),
+    losses.RatioDegenerateError: ("z_k == z_s with a reference different from x_s",),
+    training.TrainingDivergedError: ("non-finite loss at epoch 0 step 3", {"g_out_w": np.ones(2)},
+                                     {"d_out_w": np.zeros(3)}),
+    training.ClassifierMutatedError: ("classifier weights changed during generator training",),
+}
+
+
+def _package_exceptions() -> set[type]:
+    found = set()
+    for info in pkgutil.iter_modules(mirrorcfe.__path__):
+        module = importlib.import_module(f"mirrorcfe.{info.name}")
+        found |= {obj for obj in vars(module).values() if isinstance(obj, type)
+                  and issubclass(obj, BaseException) and obj.__module__ == module.__name__}
+    return found
+
+
+def test_every_exception_survives_pickle():
+    # a forked evaluate re-raises a worker's exception by pickling it
+    assert set(RAISED) == _package_exceptions()
+    for cls, args in RAISED.items():
+        err = cls(*args)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is cls and str(back) == str(err)
+        assert back.__dict__.keys() == err.__dict__.keys()
+        assert pickle.dumps(back.__dict__) == pickle.dumps(err.__dict__)
+    assert str(autodiff.ShapeError("featurize", (1, 2), (1, 16, 16))) == \
+        "featurize: incompatible shapes [(1, 2), (1, 16, 16)]"
+
+
+@pytest.mark.parametrize("error", [autodiff.ShapeError("featurize", (1, 8, 8), (1, 16, 16)),
+                                   geometry.ReflectionUnreachableError("reflection target logits unreachable",
+                                                                       0.25, np.arange(16.0))],
+                         ids=["shape", "unreachable"])
+def test_pair_pass_exception_reraises_with_type_and_message(tiny_classifier, tiny_sets, tiny_generator, forked,
+                                                           monkeypatch, error):
+    clf, _ = tiny_classifier
+    _, test_ds = tiny_sets
+
+    def fail(trajectory, tol=1e-3):
+        raise error
+
+    monkeypatch.setattr(geometry, "first_cfe_batch", fail)
+    forked(2)
+    with pytest.raises(type(error)) as info:
+        evaluate_suite(clf, tiny_generator[0], test_ds, ALL_PAIRS)
+    assert str(info.value) == str(error)
+    assert pickle.dumps(info.value.__dict__) == pickle.dumps(error.__dict__)
     assert multiprocessing.active_children() == []

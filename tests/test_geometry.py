@@ -285,6 +285,14 @@ class TestLbfgs:
         res = geo.lbfgs_minimize(fun, np.array([-1.2, 1.0]), max_iter=2000)
         assert np.max(np.abs(res.x - 1.0)) < 1e-5
 
+    def test_stalled_line_search_returns_unconverged(self):
+        # the gradient's sign is wrong, so no step along the search direction lowers the value
+        x0 = np.array([1.0, -2.0, 0.5])
+        res = geo.lbfgs_minimize(lambda x: (float(x @ x), -2.0 * x), x0)
+        assert not res.converged and res.iterations == 0
+        assert res.x.tobytes() == x0.tobytes() and res.value == float(x0 @ x0)
+        assert res.grad_norm == float(np.linalg.norm(2.0 * x0))
+
     def test_nonfinite_start_rejected(self):
         with pytest.raises(ValueError):
             geo.lbfgs_minimize(lambda x: (float("inf"), x), np.zeros(2))

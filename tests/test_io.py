@@ -151,6 +151,22 @@ def test_classifier_tensors_checked_against_config(tmp_path, edit, word):
     assert str(path) in str(info.value)
 
 
+@pytest.mark.parametrize("edit", [lambda c: c.update(extra=1), lambda c: c.pop("kernel")], ids=["extra", "missing"])
+def test_classifier_manifest_holds_exactly_the_config_fields(tmp_path, edit):
+    # an extra key used to be ignored
+    from mirrorcfe.classifier import ClassifierConfig, init_params, load_classifier, save_classifier
+
+    params = init_params(ClassifierConfig(), seed=0)
+    save_classifier(tmp_path / "good.ckpt", params)
+    _, _, config = load_checkpoint(tmp_path / "good.ckpt")
+    assert config == {"image_size": 16, "in_channels": 1, "stage_channels": [8, 16], "num_classes": 4, "kernel": 3}
+    edit(config)
+    path = _resaved(tmp_path, "classifier", params.tensors, config, lambda t: None)
+    with pytest.raises(ValueError, match="classifier config keys") as info:
+        load_classifier(path)
+    assert type(info.value) is ValueError and str(path) in str(info.value) and "\n" not in str(info.value)
+
+
 @pytest.mark.parametrize("ssc", [False, True])
 @pytest.mark.parametrize("edit, word", [
     (lambda t: t.pop("g_out_w"), "missing tensor 'g_out_w'"),
