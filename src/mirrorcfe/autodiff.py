@@ -23,6 +23,10 @@ from types import SimpleNamespace
 import numpy as np
 
 CLAMP = 1e-12
+ADAM_BETA1, ADAM_BETA2 = 0.9, 0.999  # decay rates of Adam's first and second moments
+ADAM_EPS = 1e-8  # added to Adam's root second moment
+GRADCHECK_STEP = 1e-5  # central-difference half step of gradient_check
+GRADCHECK_COORDS = 25  # leaf coordinates gradient_check probes
 
 
 class ShapeError(ValueError):
@@ -576,12 +580,8 @@ def value(x) -> np.ndarray:
 class AdamState:
     """Per-parameter first/second moments plus the shared step counter."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 2e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float = 2e-4):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = {k: np.zeros_like(t.data) for k, t in params.items()}
         self.v = {k: np.zeros_like(t.data) for k, t in params.items()}
@@ -595,25 +595,22 @@ def adam_step(params: dict[str, Tensor], state: AdamState) -> None:
         if p.grad is None:
             raise ValueError(f"adam_step: parameter {name!r} has no gradient")
         g = p.grad
-        state.m[name] = state.beta1 * state.m[name] + (1 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1 - state.beta2) * g * g
-        mhat = state.m[name] / (1 - state.beta1**t)
-        vhat = state.v[name] / (1 - state.beta2**t)
-        p.data = _check_finite("adam_step", p.data - state.lr * mhat / (np.sqrt(vhat) + state.eps))
+        state.m[name] = ADAM_BETA1 * state.m[name] + (1 - ADAM_BETA1) * g
+        state.v[name] = ADAM_BETA2 * state.v[name] + (1 - ADAM_BETA2) * g * g
+        mhat = state.m[name] / (1 - ADAM_BETA1**t)
+        vhat = state.v[name] / (1 - ADAM_BETA2**t)
+        p.data = _check_finite("adam_step", p.data - state.lr * mhat / (np.sqrt(vhat) + ADAM_EPS))
 
 
 # -- gradient checking --------------------------------------------------------
 
 
-def gradient_check(loss_fn, leaf: Tensor, eps: float = 1e-5,
-                   max_coords: int = 25, rng: np.random.Generator | None = None) -> float:
+def gradient_check(loss_fn, leaf: Tensor, rng: np.random.Generator | None = None) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     loss_fn rebuilds the graph from current leaf data and returns the scalar
-    loss Tensor. At most max_coords coordinates of the leaf are probed.
+    loss Tensor. At most GRADCHECK_COORDS coordinates of the leaf are probed.
     """
-    if not (0.0 < eps <= 1e-2):
-        raise ValueError(f"gradient_check: eps {eps} outside (0, 1e-2]")
     leaf.zero_grad()
     loss = loss_fn()
     loss.backward()
@@ -623,19 +620,19 @@ def gradient_check(loss_fn, leaf: Tensor, eps: float = 1e-5,
     analytic = np.array(leaf.grad, copy=True)
     flat = leaf.data.reshape(-1)
     n = flat.size
-    if rng is None or n <= max_coords:
-        idx = np.arange(min(n, max_coords))
+    if rng is None or n <= GRADCHECK_COORDS:
+        idx = np.arange(min(n, GRADCHECK_COORDS))
     else:
-        idx = rng.choice(n, size=max_coords, replace=False)
+        idx = rng.choice(n, size=GRADCHECK_COORDS, replace=False)
     worst = 0.0
     for i in idx:
         orig = flat[i]
-        flat[i] = orig + eps
+        flat[i] = orig + GRADCHECK_STEP
         hi = float(loss_fn().data)
-        flat[i] = orig - eps
+        flat[i] = orig - GRADCHECK_STEP
         lo = float(loss_fn().data)
         flat[i] = orig
-        cd = (hi - lo) / (2 * eps)
+        cd = (hi - lo) / (2 * GRADCHECK_STEP)
         an = analytic.reshape(-1)[i]
         worst = max(worst, abs(an - cd) / (abs(an) + abs(cd) + 1e-12))
     return worst

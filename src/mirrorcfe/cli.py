@@ -96,8 +96,9 @@ def write_dataset_dir(out_dir: Path, train: LabeledDataset, test: LabeledDataset
 def read_dataset_dir(data_dir: Path, splits: tuple[str, ...] = ("train", "test")) -> tuple[LabeledDataset, ...]:
     """The named splits of a dataset directory, in that order; images of other splits are not read.
 
-    A labels.csv without a filename, label or split column, or with a label
-    that is not an integer, raises a one-line ValueError naming it.
+    A labels.csv without a filename, label or split column, with a row whose
+    filename or split is missing or empty, or with a label that is not an
+    integer, raises a one-line ValueError naming it.
     """
     datasets = {name: LabeledDataset(split=name) for name in splits}
     path = data_dir / "labels.csv"
@@ -107,6 +108,9 @@ def read_dataset_dir(data_dir: Path, splits: tuple[str, ...] = ("train", "test")
         if missing:
             raise ValueError(f"{path}: missing column(s) {sorted(missing)}")
         for row in reader:
+            for key in ("filename", "split"):
+                if not row[key]:
+                    raise ValueError(f"{path}: line {reader.line_num}: no {key}")
             ds = datasets.get(row["split"])
             if ds is not None:
                 try:

@@ -26,8 +26,19 @@ class DatasetConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.image_size < 1:
+            raise ValueError(f"image_size must be at least 1, got {self.image_size}")
         if self.per_class <= 0:
             raise ValueError("per_class must be positive")
+        if self.position_jitter < 0:
+            raise ValueError(f"position_jitter must be >= 0, got {self.position_jitter}")
+        if not self.noise_sigma >= 0:
+            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        t = self.thickness_range
+        if not (len(t) == 2 and all(type(v) is int for v in t) and 1 <= t[0] <= t[1]):
+            raise ValueError(f"thickness_range must be two integers 1 <= lo <= hi, got {self.thickness_range}")
+        if len(self.intensity_range) != 2:
+            raise ValueError(f"intensity_range must be two values, got {self.intensity_range}")
         lo, hi = self.intensity_range
         if not (0.0 <= lo <= hi <= 1.0):
             raise ValueError("intensity_range must lie within [0, 1]")

@@ -16,9 +16,9 @@ from .training import GeneratorParams, generate_images
 
 
 def gaussian_kernel(size: int = 3, sigma: float = 1.0) -> np.ndarray:
-    """Normalized 2-D Gaussian kernel; size must be odd and sigma finite and positive."""
-    if size % 2 == 0:
-        raise ValueError(f"blur kernel size must be odd, got {size}")
+    """Normalized 2-D Gaussian kernel; size must be positive and odd, and sigma finite and positive."""
+    if size < 1 or size % 2 == 0:
+        raise ValueError(f"blur kernel size must be positive and odd, got {size}")
     if not (np.isfinite(sigma) and sigma > 0):
         raise ValueError(f"blur sigma must be finite and positive, got {sigma}")
     r = np.arange(size) - size // 2

@@ -20,14 +20,15 @@ FIRST_CFE_MIN_STEPS = 21  # the first-flip scan needs a grid at least this fine
 # A target logit that leads every other by no more than this is a tie, not a flip: on the binary
 # path k = 0.5 lands on the boundary, where the s/t logit gap is rounding noise of either sign.
 FLIP_MARGIN = 1e-9
+CFE_TOL = 1e-3  # first_cfe_batch bisects until the flip is bracketed this tightly in k
+LBFGS_MEMORY = 10  # (s, y) pairs kept by lbfgs_minimize
+LBFGS_MAX_HALVINGS = 40  # step halvings before lbfgs_minimize's line search gives up
+REFLECTION_MAX_ITER = 500  # L-BFGS iterations of multiclass_reflection
+REFLECTION_RESIDUAL_TOL = 1e-3  # largest logit residual multiclass_reflection accepts
 
 
 class DegenerateMirrorError(ValueError):
     """The two classes have (numerically) identical weight columns."""
-
-
-class NoFlipError(RuntimeError):
-    """The multi-class prediction never flips to the target by k=1."""
 
 
 class ReflectionUnreachableError(RuntimeError):
@@ -108,7 +109,8 @@ def position(z_s: np.ndarray, mirror: Mirror, k: float, z_r_prime: np.ndarray | 
 def pair_confidence(z: np.ndarray, mirror: Mirror) -> float | np.ndarray:
     """Pairwise two-class confidence sigmoid(w . z + b) for the target class: a float for one
     latent (N,), an (M,) array for a stack of them (M, N)."""
-    q = 1.0 / (1.0 + np.exp(-(z @ mirror.w + mirror.b)))
+    with np.errstate(over="ignore"):  # a margin below about -709 overflows exp to inf, giving q = 0
+        q = 1.0 / (1.0 + np.exp(-(z @ mirror.w + mirror.b)))
     return q if z.ndim == 2 else float(q)
 
 
@@ -161,12 +163,12 @@ def _leads(logits: np.ndarray, target: int) -> np.ndarray:
     return logits[..., target] - rivals.max(axis=-1) > FLIP_MARGIN
 
 
-def first_cfe_batch(trajectory: Trajectory, tol: float = 1e-3) -> np.ndarray:
+def first_cfe_batch(trajectory: Trajectory) -> np.ndarray:
     """Smallest k whose multi-class prediction is the target, for each trajectory; NaN where it never flips.
 
     Scans each trajectory grid's logits for the first flip, then bisects
     between the last unflipped and first flipped grid points until
-    |delta k| <= tol, on the head's logits at each midpoint, all trajectories
+    |delta k| <= CFE_TOL, on the head's logits at each midpoint, all trajectories
     at once. A point counts as flipped only when the target leads by more
     than FLIP_MARGIN, so a flip at the binary projection k = 0.5 is reported
     as the first bisection point past it, whatever the last bits of the tie.
@@ -176,7 +178,7 @@ def first_cfe_batch(trajectory: Trajectory, tol: float = 1e-3) -> np.ndarray:
     only differ where the target's lead lies within rounding of FLIP_MARGIN.
     """
     if len(trajectory.ks) < FIRST_CFE_MIN_STEPS:
-        raise ValueError(f"first_cfe needs a trajectory of at least {FIRST_CFE_MIN_STEPS} steps")
+        raise ValueError(f"first_cfe_batch needs a trajectory of at least {FIRST_CFE_MIN_STEPS} steps")
     t = trajectory.mirror.target
     flips = _leads(trajectory.logits, t)
     flip_idx = np.argmax(flips, axis=-1)
@@ -184,7 +186,7 @@ def first_cfe_batch(trajectory: Trajectory, tol: float = 1e-3) -> np.ndarray:
     lo = np.where(flip_idx > 0, trajectory.ks[flip_idx - 1], hi)  # a flip at k=0, or none: nothing to bisect
     scale, direction = trajectory.scale, trajectory.direction
     while True:
-        bisecting = hi - lo > tol
+        bisecting = hi - lo > CFE_TOL
         if not bisecting.any():
             break
         mid = 0.5 * (lo + hi)
@@ -193,16 +195,6 @@ def first_cfe_batch(trajectory: Trajectory, tol: float = 1e-3) -> np.ndarray:
         hi = np.where(bisecting & leads, mid, hi)
         lo = np.where(bisecting & ~leads, mid, lo)
     return np.where(flips.any(axis=-1), hi, np.nan)
-
-
-def first_cfe(trajectory: Trajectory, tol: float = 1e-3) -> float:
-    """`first_cfe_batch` of one trajectory; raises NoFlipError where the prediction never flips."""
-    k = float(first_cfe_batch(trajectory, tol))
-    if np.isnan(k):
-        raise NoFlipError(
-            f"prediction never flips to class {trajectory.mirror.target} by k=1 "
-            f"(final argmax {int(np.argmax(trajectory.probs[-1]))})")
-    return k
 
 
 # -- L-BFGS -------------------------------------------------------------------
@@ -217,12 +209,11 @@ class LbfgsResult:
     converged: bool
 
 
-def lbfgs_minimize(fun, x0: np.ndarray, memory: int = 10, grad_tol: float = 1e-8,
-                   max_iter: int = 500, max_halvings: int = 40) -> LbfgsResult:
+def lbfgs_minimize(fun, x0: np.ndarray, grad_tol: float = 1e-8, max_iter: int = 500) -> LbfgsResult:
     """Limited-memory BFGS with two-loop recursion and Armijo backtracking.
 
     fun(x) returns (value, gradient). Deterministic. If the line search fails
-    after max_halvings step halvings, returns the current iterate unconverged.
+    after LBFGS_MAX_HALVINGS step halvings, returns the current iterate unconverged.
     """
     armijo_c = 1e-4
     x = np.asarray(x0, dtype=np.float64).copy()
@@ -254,7 +245,7 @@ def lbfgs_minimize(fun, x0: np.ndarray, memory: int = 10, grad_tol: float = 1e-8
             d = -g
             slope = -(gnorm**2)
         step = 1.0
-        for _ in range(max_halvings):
+        for _ in range(LBFGS_MAX_HALVINGS):
             x_new = x + step * d
             f_new, g_new = fun(x_new)
             if np.isfinite(f_new) and f_new <= f + armijo_c * step * slope:
@@ -267,7 +258,7 @@ def lbfgs_minimize(fun, x0: np.ndarray, memory: int = 10, grad_tol: float = 1e-8
         if s_vec @ y_vec > 1e-16:
             s_hist.append(s_vec)
             y_hist.append(y_vec)
-            if len(s_hist) > memory:
+            if len(s_hist) > LBFGS_MEMORY:
                 s_hist.pop(0)
                 y_hist.pop(0)
         x, f, g = x_new, f_new, g_new
@@ -282,13 +273,12 @@ def reflection_target_logits(W: np.ndarray, b: np.ndarray, z_s: np.ndarray, s: i
     return target
 
 
-def multiclass_reflection(z_s: np.ndarray, mirror: Mirror, W: np.ndarray, b: np.ndarray,
-                          residual_tol: float = 1e-3, max_iter: int = 500) -> tuple[np.ndarray, LbfgsResult]:
+def multiclass_reflection(z_s: np.ndarray, mirror: Mirror, W: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, LbfgsResult]:
     """Estimate the reflection point z_r' whose logits swap source and target.
 
     Minimizes ||(W^T z + b) - l_target||^2 with L-BFGS, initialized from the
     closed-form binary reflection. Raises ReflectionUnreachableError if the
-    residual stays above residual_tol (e.g. rank-deficient heads).
+    residual stays above REFLECTION_RESIDUAL_TOL (e.g. rank-deficient heads).
     """
     target = reflection_target_logits(W, b, z_s, mirror.source, mirror.target)
 
@@ -297,11 +287,11 @@ def multiclass_reflection(z_s: np.ndarray, mirror: Mirror, W: np.ndarray, b: np.
         return float(r @ r), 2.0 * (W @ r)
 
     z0 = position(z_s, mirror, 1.0)
-    result = lbfgs_minimize(fun, z0, grad_tol=1e-12, max_iter=max_iter)
+    result = lbfgs_minimize(fun, z0, grad_tol=1e-12, max_iter=REFLECTION_MAX_ITER)
     residual = float(np.linalg.norm(W.T @ result.x + b - target))
-    if residual > residual_tol:
+    if residual > REFLECTION_RESIDUAL_TOL:
         raise ReflectionUnreachableError(
-            f"reflection target logits unreachable (residual {residual:.3e} > {residual_tol:.1e})",
+            f"reflection target logits unreachable (residual {residual:.3e} > {REFLECTION_RESIDUAL_TOL:.1e})",
             residual, result.x)
     return result.x, result
 

@@ -14,6 +14,8 @@ import numpy as np
 
 from . import autodiff as ad
 
+RATIO_FLOOR = 1e-6  # least latent distance and least ratio in the triangulation loss
+
 
 class RatioDegenerateError(ValueError):
     """SFE triangulation with z_k == z_s and a reference different from x_s."""
@@ -22,7 +24,6 @@ class RatioDegenerateError(ValueError):
 @dataclass(frozen=True)
 class TriConfig:
     alpha: float = 0.2
-    ratio_floor: float = 1e-6
 
     def __post_init__(self):
         if not (0.0 <= self.alpha <= 1.0):
@@ -73,9 +74,9 @@ def loss_fea(z_k, z_roundtrip) -> ad.Tensor:
     return ad.l2_norm(ad.sub(a, b))
 
 
-def tri_ratio(z_s: np.ndarray, z_k: np.ndarray, z_ref: np.ndarray, floor: float) -> float:
-    """Latent distance ratio ||z_k - z_ref|| / ||z_s - z_k||, floored."""
-    return float(np.linalg.norm(z_k - z_ref) / max(np.linalg.norm(z_s - z_k), floor))
+def tri_ratio(z_s: np.ndarray, z_k: np.ndarray, z_ref: np.ndarray) -> float:
+    """Latent distance ratio ||z_k - z_ref|| / ||z_s - z_k||, its denominator floored at RATIO_FLOOR."""
+    return float(np.linalg.norm(z_k - z_ref) / max(np.linalg.norm(z_s - z_k), RATIO_FLOOR))
 
 
 def loss_tri(x_s, x_k, x_ref, z_s: np.ndarray, z_k: np.ndarray, z_ref: np.ndarray,
@@ -92,8 +93,7 @@ def loss_tri(x_s, x_k, x_ref, z_s: np.ndarray, z_k: np.ndarray, z_ref: np.ndarra
         if k < 0.5 and not np.array_equal(x_ref.data, x_s.data):
             raise RatioDegenerateError("z_k == z_s with a reference different from x_s")
         return ad.constant(0.0)
-    r = tri_ratio(z_s, z_k, z_ref, cfg.ratio_floor)
-    r = max(r, cfg.ratio_floor)
+    r = max(tri_ratio(z_s, z_k, z_ref), RATIO_FLOOR)
     d_ref = ad.l1_distance(x_k, x_ref)
     d_sk = ad.l1_distance(x_s, x_k)
     lower = ad.scale(d_ref, (1.0 - cfg.alpha) / r)

@@ -26,15 +26,6 @@ DECODE_CHUNK = 3
 WIDTH = 32  # channels of every hidden generator layer
 
 
-class TrainingDivergedError(RuntimeError):
-    """Loss went non-finite; carries the last good parameter snapshot."""
-
-    def __init__(self, message, generator=None, discriminator=None):  # pickle rebuilds from the message, then the dict
-        super().__init__(message)
-        self.generator = generator
-        self.discriminator = discriminator
-
-
 class ClassifierMutatedError(RuntimeError):
     """The frozen classifier's weights changed during generator training."""
 
@@ -262,7 +253,6 @@ def train_generator(clf: ClassifierParams, dataset: LabeledDataset, cfg: TrainCo
     history: list[dict] = []
     n = len(dataset)
     steps_per_epoch = max(1, n // cfg.batch_size)
-    last_good = (_snapshot_gen(gp, gen0), _snapshot_dis(dp))
 
     for epoch in range(cfg.epochs):
         for step in range(steps_per_epoch):
@@ -316,10 +306,6 @@ def train_generator(clf: ClassifierParams, dataset: LabeledDataset, cfg: TrainCo
             total = ad.add(total, ad.scale(l_fea, cfg.w_fea))
             total = ad.add(total, ad.scale(l_tri, cfg.w_tri))
 
-            if not np.isfinite(total.data):
-                gen_last, dis_last = last_good
-                raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch} step {step}", gen_last, dis_last)
             for t in gp.values():
                 t.zero_grad()
             total.backward()
@@ -332,21 +318,13 @@ def train_generator(clf: ClassifierParams, dataset: LabeledDataset, cfg: TrainCo
                 "fea": float(l_fea.data), "tri": float(l_tri.data),
                 "total": float(total.data), "clamped": clamped,
             })
-        last_good = (_snapshot_gen(gp, gen0), _snapshot_dis(dp))
         if log is not None:
             log(history[-1])
 
     if checkpoint_checksum(clf) != checksum_before:
         raise ClassifierMutatedError("classifier weights changed during generator training")
-    return _snapshot_gen(gp, gen0), _snapshot_dis(dp), history
-
-
-def _snapshot_gen(gp, template: GeneratorParams) -> GeneratorParams:
-    return GeneratorParams({k: t.data.copy() for k, t in gp.items()}, config=dict(template.config))
-
-
-def _snapshot_dis(dp) -> DiscriminatorParams:
-    return DiscriminatorParams({k: t.data.copy() for k, t in dp.items()})
+    return (GeneratorParams({k: t.data.copy() for k, t in gp.items()}, config=gen0.config),
+            DiscriminatorParams({k: t.data.copy() for k, t in dp.items()}), history)
 
 
 # -- inference + checkpoint plumbing ------------------------------------------

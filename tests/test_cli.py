@@ -186,9 +186,11 @@ def test_error_exit_codes(workdir, tmp_path, capsys):
     ("evaluate", ["--blur-size", "0"], "size"),
     ("evaluate", ["--blur-sigma", "0"], "sigma"),
     ("explain", ["--steps", "0"], "steps"),
+    pytest.param("evaluate", ["--blur-size", "-1"], "size must be positive and odd, got -1", id="evaluate-negative-blur-size"),
 ])
 def test_zero_flag_rejected(workdir, tmp_path, capsys, command, flags, word):
-    # a 0 is a value, not "unset": it must be rejected, not replaced by the default
+    # a 0 is a value, not "unset": it must be rejected, not replaced by the default; a blur size of -1
+    # passed the odd check and failed only after every decode, in numpy's "negative values" index error
     models = ["--classifier", str(workdir / "clf.ckpt"), "--generator", str(workdir / "gen.ckpt")]
     out = tmp_path / "out"
     if command == "evaluate":
@@ -227,9 +229,13 @@ def test_class_index_out_of_range(workdir, tmp_path, capsys, command, flags):
     ("filename,split", "img_00000.pgm,train", "missing column(s) ['label']"),
     ("filename,label,split", "img_00000.pgm,zero,train", "line 2: label 'zero' is not an integer"),
     ("filename,label,split", "img_00000.pgm,,train", "line 2: label '' is not an integer"),
-], ids=["no-split", "no-label", "word-label", "empty-label"])
+    ("filename,label,split", "img_00000.pgm,0", "line 2: no split"),
+    ("label,split,filename", "0,train", "line 2: no filename"),
+    ("filename,label,split", ",0,train", "line 2: no filename"),
+], ids=["no-split", "no-label", "word-label", "empty-label", "missing-split", "missing-filename", "empty-filename"])
 def test_malformed_labels_csv_one_error_line(tmp_path, capsys, header, row, word):
-    # these used to print "KeyError: 'split'" and "invalid literal for int() with base 10: 'zero'"
+    # these used to print "KeyError: 'split'" and "invalid literal for int() with base 10: 'zero'"; a row
+    # without a split was dropped, and one without a filename leaked a TypeError or an IsADirectoryError
     data = tmp_path / "data"
     data.mkdir()
     (data / "labels.csv").write_text(f"{header}\n{row}\n")
@@ -268,6 +274,20 @@ def test_bad_training_data_one_error_line(workdir, tmp_path, capsys, edit, word)
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {word}")
     assert "epoch" not in captured.out and not out.exists()  # rejected before the first step
+
+
+@pytest.mark.parametrize("command, section", [("train-classifier", "classifier"), ("train-generator", "generator")])
+def test_overflowing_training_one_error_line(workdir, tmp_path, capsys, command, section):
+    # the weights after one Adam step at lr 1e300 overflow the next forward pass, which names its op
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({section: {"lr": 1e300}}))
+    argv = [command, "--data", str(workdir / "data"), "--config", str(cfg), "--out", str(tmp_path / "out.ckpt")]
+    if command == "train-generator":
+        argv += ["--classifier", str(workdir / "clf.ckpt")]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: NumericOverflowError: conv2d produced non-finite values"]
+    assert list(tmp_path.iterdir()) == [cfg]  # no checkpoint and no CSV
 
 
 def test_pipeline_takes_the_image_size_from_the_data(tmp_path):

@@ -52,6 +52,13 @@ def test_config_validation():
         DatasetConfig(intensity_range=(0.5, 1.5))
     with pytest.raises(ValueError):
         DatasetConfig(classes=("square",))
+    # these used to fail with "too many/not enough values to unpack" or numpy's "low >= high", or to build
+    # degenerate data without complaint
+    for field, value in [("thickness_range", (1, 2, 3)), ("thickness_range", (3, 1)), ("thickness_range", (0, 2)),
+                         ("thickness_range", (1.0, 3.0)), ("intensity_range", (0.5,)), ("position_jitter", -1),
+                         ("noise_sigma", -0.1), ("noise_sigma", float("nan")), ("image_size", 0)]:
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            DatasetConfig(**{field: value})
     with pytest.raises(ValueError):
         split(generate_dataset(DatasetConfig(per_class=2)), 1.0, seed=0)
 

@@ -229,11 +229,8 @@ RAISED = {
     autodiff.NumericOverflowError: ("conv2d produced non-finite values",),
     autodiff.NonScalarLossError: ("backward() needs a scalar loss, got shape (2,)",),
     geometry.DegenerateMirrorError: ("classes 0 and 1 have identical weight columns",),
-    geometry.NoFlipError: ("prediction never flips to class 1 by k=1 (final argmax 0)",),
     geometry.ReflectionUnreachableError: ("reflection target logits unreachable", 0.25, np.arange(4.0)),
     losses.RatioDegenerateError: ("z_k == z_s with a reference different from x_s",),
-    training.TrainingDivergedError: ("non-finite loss at epoch 0 step 3", {"g_out_w": np.ones(2)},
-                                     {"d_out_w": np.zeros(3)}),
     training.ClassifierMutatedError: ("classifier weights changed during generator training",),
 }
 
@@ -269,7 +266,7 @@ def test_pair_pass_exception_reraises_with_type_and_message(tiny_classifier, tin
     clf, _ = tiny_classifier
     _, test_ds = tiny_sets
 
-    def fail(trajectory, tol=1e-3):
+    def fail(trajectory):
         raise error
 
     monkeypatch.setattr(geometry, "first_cfe_batch", fail)

@@ -102,23 +102,23 @@ class TestTrajectoryAndFirstCfe:
         z_s = np.array([2.0, 0.4])
         m = geo.make_mirror(W, b, 0, 1)
         traj = geo.sample_trajectory(z_s, m, W, b, steps=21)
-        first = geo.first_cfe(traj, tol=1e-3)
-        assert type(first) is float and first > 0.5
+        first = float(geo.first_cfe_batch(traj))
+        assert first > 0.5
         ks = np.linspace(0.0, 1.0, 10_001)
         dense = next(k for k in ks if int(np.argmax(head(W, b, traj.latent_at(float(k)))[1])) == 1)
         assert abs(first - dense) <= 2e-3
         # the point just before the found k must not yet be the target
         assert int(np.argmax(head(W, b, traj.latent_at(first - 2e-3))[1])) != 1
 
-    def test_no_flip_raises(self):
+    def test_no_flip_is_nan(self):
         # class 2 dominates the entire trajectory
         W = np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
         b = np.array([0.0, 0.0, 50.0])
         z_s = np.array([1.0, 0.0])
         m = geo.make_mirror(W, b, 0, 1)
         traj = geo.sample_trajectory(z_s, m, W, b, steps=21)
-        with pytest.raises(geo.NoFlipError, match=r"^prediction never flips to class 1 by k=1 \(final argmax 2\)$"):
-            geo.first_cfe(traj)
+        assert int(np.argmax(traj.probs[-1])) == 2
+        assert np.isnan(geo.first_cfe_batch(traj))
 
     def test_first_cfe_at_the_projection_is_not_decided_by_rounding(self):
         # s and t lead the other classes, so the binary path flips exactly at k = 0.5, where the
@@ -128,7 +128,7 @@ class TestTrajectoryAndFirstCfe:
             W, b, z_s = rng.normal(size=(16, 4)), rng.normal(size=4), rng.normal(size=16)
             order = np.argsort(z_s @ W + b)
             m = geo.make_mirror(W, b, int(order[-1]), int(order[-2]))
-            ks = {geo.first_cfe(geo.sample_trajectory(z, m, W, b))
+            ks = {float(geo.first_cfe_batch(geo.sample_trajectory(z, m, W, b)))
                   for z in (z_s, np.nextafter(z_s, np.inf), np.nextafter(z_s, -np.inf))}
             assert ks == {0.5 + 0.05 / 64}  # the first bisection point past the projection
 
@@ -136,8 +136,8 @@ class TestTrajectoryAndFirstCfe:
         W, b = self._three_class_head()
         m = geo.make_mirror(W, b, 0, 1)
         traj = geo.sample_trajectory(np.array([1.0, 0.0]), m, W, b, steps=5)
-        with pytest.raises(ValueError):
-            geo.first_cfe(traj)
+        with pytest.raises(ValueError, match="at least 21 steps"):
+            geo.first_cfe_batch(traj)
 
     def test_multiclass_trajectory_interpolates(self):
         W, b = self._three_class_head()
@@ -189,20 +189,19 @@ class TestTrajectoryAndFirstCfe:
         assert np.array_equal(geo.position(z, m, 1.0, z_r), z + (z_r - z))
 
 
-def _first_cfe_oracle(W, b, z_s, m, z_r, steps, tol=1e-3) -> float:
+def _first_cfe_oracle(W, b, z_s, m, z_r, steps) -> float:
     """The first CFE from the definition: scan the grid's logits for the first target lead, then bisect on
-    head(W, b, position(z_s, m, k, z_r)) between the grid points around it."""
+    head(W, b, position(z_s, m, k, z_r)) between the grid points around it; NaN where the target never leads."""
     t = m.target
     traj = geo.sample_trajectory(z_s, m, W, b, steps=steps, z_r_prime=z_r)
     leads = [geo._leads(lg, t) for lg in traj.logits]
     if not any(leads):
-        raise geo.NoFlipError(f"prediction never flips to class {t} by k=1 "
-                              f"(final argmax {int(np.argmax(traj.probs[-1]))})")
+        return float("nan")
     i = leads.index(True)
     if i == 0:
         return 0.0
     lo, hi = float(traj.ks[i - 1]), float(traj.ks[i])
-    while hi - lo > tol:
+    while hi - lo > geo.CFE_TOL:
         mid = 0.5 * (lo + hi)
         if geo._leads(head(W, b, geo.position(z_s, m, mid, z_r))[0], t):
             hi = mid
@@ -222,15 +221,8 @@ def test_first_cfe_on_the_logit_arrays_matches_the_point_bisection(seed, n, c, s
     m = geo.make_mirror(W, b, s, t)
     z_r = rng.normal(size=n) if multiclass else None
     traj = geo.sample_trajectory(z_s, m, W, b, steps=steps, z_r_prime=z_r)
-    try:
-        expected = _first_cfe_oracle(W, b, z_s, m, z_r, steps)
-    except geo.NoFlipError as err:
-        with pytest.raises(geo.NoFlipError) as info:
-            geo.first_cfe(traj)
-        assert str(info.value) == str(err)
-        return
-    found = geo.first_cfe(traj)
-    assert type(found) is float and found == expected
+    found = geo.first_cfe_batch(traj)
+    assert found.shape == () and np.array_equal(found, _first_cfe_oracle(W, b, z_s, m, z_r, steps), equal_nan=True)
 
 
 
@@ -239,7 +231,7 @@ def test_first_cfe_on_the_logit_arrays_matches_the_point_bisection(seed, n, c, s
        scale=st.sampled_from([1e-3, 1e-1, 1.0, 10.0]), steps=st.integers(21, 41), multiclass=st.booleans())
 def test_first_cfe_batch_rows_match_single_trajectories(seed, n, c, rows, scale, steps, multiclass):
     # each row of a stacked trajectory: the same grid and logits bits as its own trajectory, and the
-    # same first-CFE float, or NaN exactly where the single trajectory raises NoFlipError
+    # same first-CFE float, or NaN exactly where the single trajectory never flips
     rng = np.random.default_rng(seed)
     W, b, z_s = rng.normal(size=(n, c)) * scale, rng.normal(size=c), rng.normal(size=(rows, n))
     s, t = (int(i) for i in rng.choice(c, size=2, replace=False))
@@ -253,12 +245,7 @@ def test_first_cfe_batch_rows_match_single_trajectories(seed, n, c, rows, scale,
         assert stacked.grid[i].tobytes() == traj.grid.tobytes()
         assert stacked.logits[i].tobytes() == traj.logits.tobytes()
         assert stacked.latent_at(1.0)[i].tobytes() == traj.latent_at(1.0).tobytes()
-        try:
-            expected = geo.first_cfe(traj)
-        except geo.NoFlipError:
-            assert np.isnan(found[i])
-            continue
-        assert found[i] == expected
+        assert np.array_equal(found[i], geo.first_cfe_batch(traj), equal_nan=True)
 
 class TestLbfgs:
     def test_quadratic_matches_direct_solve(self):
