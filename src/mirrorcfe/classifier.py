@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import deque
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import autodiff as ad
+from . import workers
 from .checkpoint import check_tensors, load_checkpoint, save_checkpoint
 from .dataset import LabeledDataset
 
@@ -222,6 +224,13 @@ class TrainHyper:
     def __post_init__(self):
         if self.epochs <= 0 or self.batch_size <= 0:
             raise ValueError("epochs and batch_size must be positive")
+        check_learning_rate(self.lr)
+
+
+def check_learning_rate(lr: float) -> None:
+    """Reject a learning rate that cannot train: one that is not finite and positive."""
+    if not (math.isfinite(lr) and lr > 0):
+        raise ValueError(f"lr must be finite and positive, got {lr}")
 
 
 def train_classifier(train_ds: LabeledDataset, test_ds: LabeledDataset | None,
@@ -233,7 +242,10 @@ def train_classifier(train_ds: LabeledDataset, test_ds: LabeledDataset | None,
     the class count from the distinct labels of both splits. Every image must
     have the config's input shape and every label lie in [0, num_classes).
     Deterministic for a fixed hyper/config. Returns the frozen parameters and
-    a per-epoch history of mean loss and train/test accuracy.
+    a per-epoch history of mean loss and train/test accuracy. With two
+    epochs or more, one forked worker at idle priority (`workers.forked`)
+    takes each epoch's accuracy pass while the next epoch trains; `log` gets
+    each row once it is complete, in epoch order.
     """
     if len(train_ds) == 0:
         raise ValueError("train split is empty")
@@ -253,29 +265,41 @@ def train_classifier(train_ds: LabeledDataset, test_ds: LabeledDataset | None,
     state = ad.AdamState(gp, lr=hyper.lr)
     rng = np.random.default_rng(hyper.seed)
     n = len(train_ds)
-    history = []
-    for epoch in range(hyper.epochs):
-        order = rng.permutation(n)
-        losses = []
-        for start in range(0, n, hyper.batch_size):
-            idx = order[start : start + hyper.batch_size]
-            x = np.stack([train_ds.images[i] for i in idx])
-            onehot = np.zeros((len(idx), config.num_classes))
-            onehot[np.arange(len(idx)), [train_ds.labels[i] for i in idx]] = 1.0
-            for t in gp.values():
-                t.zero_grad()
-            nodes = forward_graph(gp, config, ad.constant(x))
-            loss = ad.scale(ad.kld(ad.constant(onehot), nodes["probs"]), 1.0 / len(idx))
-            loss.backward()
-            ad.adam_step(gp, state)
-            losses.append(float(loss.data))
-        snapshot = ClassifierParams(config, {k: t.data.copy() for k, t in gp.items()})
-        row = {"epoch": epoch, "loss": float(np.mean(losses)), "train_acc": accuracy(snapshot, train_ds)}
+
+    def accuracies(tensors: dict) -> dict:
+        snapshot = ClassifierParams(config, tensors)
+        accs = {"train_acc": accuracy(snapshot, train_ds)}
         if test_ds is not None and len(test_ds):
-            row["test_acc"] = accuracy(snapshot, test_ds)
-        history.append(row)
-        if log is not None:
-            log(row)
+            accs["test_acc"] = accuracy(snapshot, test_ds)
+        return accs
+
+    history = []
+    pending = deque()  # (row, future of its accuracies) of each epoch trained but not yet logged
+    # one worker takes each epoch's accuracy pass while the next epoch trains; one epoch has nothing to overlap
+    with workers.forked(accuracies, 1 if hyper.epochs > 1 else 0, background=True) as submit:
+        for epoch in range(hyper.epochs):
+            order = rng.permutation(n)
+            losses = []
+            for start in range(0, n, hyper.batch_size):
+                idx = order[start : start + hyper.batch_size]
+                x = np.stack([train_ds.images[i] for i in idx])
+                onehot = np.zeros((len(idx), config.num_classes))
+                onehot[np.arange(len(idx)), [train_ds.labels[i] for i in idx]] = 1.0
+                for t in gp.values():
+                    t.zero_grad()
+                nodes = forward_graph(gp, config, ad.constant(x))
+                loss = ad.scale(ad.kld(ad.constant(onehot), nodes["probs"]), 1.0 / len(idx))
+                loss.backward()
+                ad.adam_step(gp, state)
+                losses.append(float(loss.data))
+            row = {"epoch": epoch, "loss": float(np.mean(losses))}
+            pending.append((row, submit({k: t.data.copy() for k, t in gp.items()})))
+            while pending and (pending[0][1].done() or epoch == hyper.epochs - 1):
+                row, accs = pending.popleft()
+                row.update(accs.result())
+                history.append(row)
+                if log is not None:
+                    log(row)
     frozen = ClassifierParams(config, {k: t.data.copy() for k, t in gp.items()})
     for arr in frozen.tensors.values():
         arr.setflags(write=False)

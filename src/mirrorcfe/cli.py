@@ -72,8 +72,11 @@ def load_config(path: str | None) -> dict:
 def _seed_override(section: dict) -> dict:
     env = os.environ.get("MCFE_SEED")
     if env is not None:
-        section = dict(section)
-        section["seed"] = int(env)
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ValueError(f"MCFE_SEED must be an integer, got {env!r}") from None
+        section = {**section, "seed": seed}
     return section
 
 

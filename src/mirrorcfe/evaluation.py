@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import csv
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry
+from . import geometry, workers
 from .classifier import FEATURIZE_CHUNK, ClassifierParams, FeatureStack, classify, featurize_batch
 from .classifier import featurize  # noqa: F401  (evaluation.featurize stays a binding of the one-image featurize)
 from .dataset import LabeledDataset
@@ -89,13 +88,6 @@ def write_csv(path, header: list[str], rows: list[dict]) -> None:
 FORK_MIN_ROWS = 64
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the platform has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _pair_rows(clf: ClassifierParams, gen: GeneratorParams, test_set: LabeledDataset, stacks: list[FeatureStack],
                mirror: geometry.Mirror, picked: list[int], steps: int, blur_size: int,
                blur_sigma: float) -> list[dict]:
@@ -132,20 +124,6 @@ def _pair_rows(clf: ClassifierParams, gen: GeneratorParams, test_set: LabeledDat
     return rows
 
 
-_inherited_pass = None  # set only in a forked worker of evaluate_suite: the pair pass it was forked with
-
-
-def _inherit(pair_pass) -> None:
-    global _inherited_pass
-    _inherited_pass = pair_pass
-
-
-def _run_inherited(i: int) -> list[dict]:
-    """A worker's task: pair i's rows. The executor sends the task by its module name, looked up when
-    evaluate_suite starts the map, so only i and the rows cross between the processes."""
-    return _inherited_pass(i)
-
-
 def evaluate_suite(clf: ClassifierParams, gen: GeneratorParams, test_set: LabeledDataset,
                    class_pairs: list[tuple[int, int]], steps: int = 21,
                    blur_size: int = 3, blur_sigma: float = 1.0,
@@ -162,9 +140,10 @@ def evaluate_suite(clf: ClassifierParams, gen: GeneratorParams, test_set: Labele
     its last row. Each pair's rows then take one array pass (`_pair_rows`).
     When at least two pairs have rows, there are FORK_MIN_ROWS rows in all
     and the process may use at least two CPUs, the passes run in forked
-    worker processes, one per CPU and at most one per pair, which
-    inherit the models and the featurized split; the rows come back in pair
-    order, so the report is the same bytes for any number of workers.
+    worker processes (`workers.forked`), one per CPU and at most one per
+    pair, which inherit the models and the featurized split and send back
+    only their rows; the rows come back in pair order, so the report is the
+    same bytes for any number of workers.
     """
     if steps < geometry.FIRST_CFE_MIN_STEPS:
         raise ValueError(f"evaluate needs at least {geometry.FIRST_CFE_MIN_STEPS} trajectory steps, got {steps}")
@@ -189,19 +168,10 @@ def evaluate_suite(clf: ClassifierParams, gen: GeneratorParams, test_set: Labele
     def pair_pass(i: int) -> list[dict]:
         return _pair_rows(clf, gen, test_set, stacks, *work[i], steps, blur_size, blur_sigma)
 
-    fan_out = hasattr(os, "fork") and sum(len(picked) for _, picked in work) >= FORK_MIN_ROWS
-    workers = min(len(work), _usable_cpus()) if fan_out else 1
-    if workers > 1:
-        # fork, not spawn: the workers inherit the models and the featurized split instead of
-        # receiving them pickled, and each pass sends back only its rows
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
-
-        with ProcessPoolExecutor(workers, mp_context=get_context("fork"), initializer=_inherit,
-                                 initargs=(pair_pass,)) as pool:
-            per_pair = list(pool.map(_run_inherited, range(len(work))))
-    else:
-        per_pair = [pair_pass(i) for i in range(len(work))]
+    fan_out = len(work) > 1 and sum(len(picked) for _, picked in work) >= FORK_MIN_ROWS
+    with workers.forked(pair_pass, len(work) if fan_out else 0) as submit:
+        futures = [submit(i) for i in range(len(work))]
+        per_pair = [future.result() for future in futures]
     report = EvalReport(rows=[row for rows in per_pair for row in rows])
     rows = report.rows
     if rows:

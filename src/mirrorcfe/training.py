@@ -16,7 +16,8 @@ from . import autodiff as ad
 from . import cam as camlib
 from . import geometry, losses
 from .checkpoint import check_tensors, load_checkpoint, save_checkpoint
-from .classifier import ClassifierParams, checkpoint_checksum, classify, featurize, forward_graph, he_normal
+from .classifier import (ClassifierParams, check_learning_rate, checkpoint_checksum, classify, featurize, forward_graph,
+                         he_normal)
 from .dataset import LabeledDataset
 
 # Feature maps per generator pass in generate_images. Measured on a 2-vCPU VM with a 2 MB L2 cache per
@@ -56,6 +57,9 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 0")
         if self.k_rule not in ("uniform", "endpoints-grid"):
             raise ValueError(f"unknown k_rule {self.k_rule!r}")
+        check_learning_rate(self.lr)
+        if not 0 <= self.recon_prob <= 1:
+            raise ValueError(f"recon_prob must lie in [0, 1], got {self.recon_prob}")
 
 
 @dataclass

@@ -1,5 +1,8 @@
 """Frozen CNN classifier: forward consistency, persistence, training."""
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -136,3 +139,82 @@ def test_training_deterministic(tiny_sets):
     a, _ = train_classifier(train_ds, None, hyper)
     b, _ = train_classifier(train_ds, None, hyper)
     assert checkpoint_checksum(a) == checkpoint_checksum(b)
+
+
+
+@pytest.fixture
+def accuracy_workers(monkeypatch):
+    """Call with a CPU count to train on; returns the list of splits whose accuracy pass ran in this
+    process. A pass run in a forked worker appends to the worker's copy, which this process never sees."""
+    from mirrorcfe import classifier, workers
+
+    caller, real = os.getpid(), classifier.accuracy
+    in_caller = []
+
+    def recording(params, ds):
+        if os.getpid() == caller:
+            in_caller.append(ds.split)
+        else:  # the worker takes only CPU time that the training leaves idle
+            assert os.sched_getscheduler(0) == os.SCHED_IDLE
+        return real(params, ds)
+
+    def use(cpus: int) -> list:
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(classifier, "accuracy", recording)
+        in_caller.clear()
+        return in_caller
+
+    return use
+
+
+@pytest.mark.parametrize("epochs", [1, 4])
+def test_overlapped_accuracy_pass_matches_in_process(tiny_sets, accuracy_workers, epochs):
+    from mirrorcfe.classifier import TrainHyper, train_classifier
+
+    train_ds, test_ds = tiny_sets
+    runs = {}
+    for cpus in (1, 2):
+        in_caller = accuracy_workers(cpus)
+        logged = []
+        params, history = train_classifier(train_ds, test_ds, TrainHyper(epochs=epochs, batch_size=8, seed=1),
+                                           log=lambda row: logged.append(dict(row)))
+        assert multiprocessing.active_children() == []
+        # two epochs or more overlap the pass in one worker; a single epoch stays in this process
+        assert in_caller == ([] if cpus == 2 and epochs > 1 else ["train", "test"] * epochs)
+        runs[cpus] = ({k: v.tobytes() for k, v in params.tensors.items()}, history, logged)
+    assert runs[2] == runs[1]
+    assert [row["epoch"] for row in runs[2][2]] == list(range(epochs))
+    assert all({"train_acc", "test_acc"} <= row.keys() for row in runs[2][2])  # each row logged complete
+
+
+def test_worker_accuracy_error_reraises_and_leaves_no_process(tiny_sets, monkeypatch):
+    from mirrorcfe import classifier, workers
+    from mirrorcfe.classifier import TrainHyper, train_classifier
+
+    train_ds, test_ds = tiny_sets
+    caller, error = os.getpid(), ad.ShapeError("featurize", (1, 8, 8), (1, 16, 16))
+
+    def fail(params, ds):
+        assert os.getpid() != caller, "an accuracy pass ran in the calling process"
+        raise error
+
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(classifier, "accuracy", fail)
+    with pytest.raises(ad.ShapeError) as info:
+        train_classifier(train_ds, test_ds, TrainHyper(epochs=3, batch_size=8, seed=1))
+    assert str(info.value) == str(error)
+    assert multiprocessing.active_children() == []
+
+
+def test_caller_error_joins_the_accuracy_worker(tiny_sets, accuracy_workers):
+    from mirrorcfe.classifier import TrainHyper, train_classifier
+
+    train_ds, test_ds = tiny_sets
+    accuracy_workers(2)
+
+    def stop(row):
+        raise RuntimeError(f"stop at epoch {row['epoch']}")
+
+    with pytest.raises(RuntimeError, match="^stop at epoch 0$"):
+        train_classifier(train_ds, test_ds, TrainHyper(epochs=6, batch_size=8, seed=1), log=stop)
+    assert multiprocessing.active_children() == []

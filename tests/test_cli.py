@@ -290,6 +290,39 @@ def test_overflowing_training_one_error_line(workdir, tmp_path, capsys, command,
     assert list(tmp_path.iterdir()) == [cfg]  # no checkpoint and no CSV
 
 
+@pytest.mark.parametrize("failure", ["overflow", "worker"])
+def test_forked_training_failure_one_error_line(workdir, tmp_path, capsys, monkeypatch, failure):
+    # with the accuracy pass in a forked worker, a failure in either process is the command's one error line
+    import multiprocessing
+
+    from mirrorcfe import autodiff, classifier, workers
+
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"classifier": {"lr": 1e300 if failure == "overflow" else 2e-4}}))
+    if failure == "worker":
+        real = classifier.accuracy
+
+        def overflow_after_epoch_0(params, ds):  # runs in the worker, which counts its own calls
+            overflow_after_epoch_0.calls += 1
+            if overflow_after_epoch_0.calls > 2:
+                raise autodiff.NumericOverflowError("conv2d produced non-finite values")
+            return real(params, ds)
+
+        overflow_after_epoch_0.calls = 0
+        monkeypatch.setattr(classifier, "accuracy", overflow_after_epoch_0)
+    out = tmp_path / "out.ckpt"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["train-classifier", "--data", str(workdir / "data"), "--config", str(cfg),
+                     "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: NumericOverflowError: conv2d produced non-finite values"]
+    assert ("epoch 0:" in captured.out) == (failure == "worker")  # the worker failed on epoch 1's pass
+    assert "epoch 1:" not in captured.out
+    assert multiprocessing.active_children() == []
+    assert list(tmp_path.iterdir()) == [cfg]  # no checkpoint and no CSV
+
+
 def test_pipeline_takes_the_image_size_from_the_data(tmp_path):
     # an image_size other than 16 used to train a classifier for 16x16 inputs on 8x8 images
     cfg = tmp_path / "config.json"
@@ -493,11 +526,20 @@ def test_mistyped_config_value_one_error_line(workdir, tmp_path, capsys, section
     ("classifier", "batch_size", 0, "epochs and batch_size must be positive"),  # range() arg 3 must not be zero
     ("classifier", "batch_size", -4, "epochs and batch_size must be positive"),  # ran no step, logged loss nan
     ("dataset", "classes", [], "classes must name at least one shape kind"),  # wrote a header-only labels.csv
+    ("classifier", "lr", -0.01, "lr must be finite and positive, got -0.01"),  # trained a diverged checkpoint
+    ("classifier", "lr", 0, "lr must be finite and positive, got 0"),  # wrote an untrained checkpoint
+    ("classifier", "lr", float("nan"), "lr must be finite and positive, got nan"),  # blamed adam_step
+    ("generator", "lr", -0.01, "lr must be finite and positive, got -0.01"),
+    ("generator", "lr", float("inf"), "lr must be finite and positive, got inf"),
+    ("generator", "recon_prob", 1.5, "recon_prob must lie in [0, 1], got 1.5"),  # made every element a recon
+    ("generator", "recon_prob", -0.5, "recon_prob must lie in [0, 1], got -0.5"),
 ])
 def test_config_value_out_of_range_one_error_line(workdir, tmp_path, capsys, section, key, value, word):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({section: {key: value}}))
     flags = {"classifier": ["train-classifier", "--data", str(workdir / "data")],
+             "generator": ["train-generator", "--data", str(workdir / "data"),
+                           "--classifier", str(workdir / "clf.ckpt")],
              "dataset": ["make-dataset"]}[section]
     out = tmp_path / "out"
     assert main([*flags, "--config", str(cfg), "--out", str(out)]) == 1
@@ -510,14 +552,14 @@ def test_evaluate_worker_error_one_error_line(workdir, tmp_path, capsys, monkeyp
     # a decode that overflows in a forked worker fails the command as it would in-process
     import multiprocessing
 
-    from mirrorcfe import evaluation
+    from mirrorcfe import evaluation, workers
     from mirrorcfe.training import load_generator, save_generator
 
     gen = load_generator(workdir / "gen.ckpt", load_classifier(workdir / "clf.ckpt").config)
     gen.tensors["g_conv2_w"] = np.full_like(gen.tensors["g_conv2_w"], 1e308)
     save_generator(tmp_path / "gen.ckpt", gen)
     monkeypatch.setattr(evaluation, "FORK_MIN_ROWS", 1)  # the miniature split has too few rows to fan out
-    monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
     out = tmp_path / "r.csv"
     pairs = ",".join(f"{s}:{t}" for s in range(4) for t in range(4) if s != t)
     assert main(["evaluate", "--data", str(workdir / "data"), "--classifier", str(workdir / "clf.ckpt"),
@@ -554,6 +596,14 @@ def test_seed_env_override(tmp_path, monkeypatch):
     a = (tmp_path / "a" / "img_00000.pgm").read_bytes()
     b = (tmp_path / "b" / "img_00000.pgm").read_bytes()
     assert a != b
+
+
+def test_malformed_seed_env_one_error_line(tmp_path, monkeypatch, capsys):
+    # used to print "invalid literal for int() with base 10: 'abc'", naming no variable
+    monkeypatch.setenv("MCFE_SEED", "abc")
+    assert main(["make-dataset", "--out", str(tmp_path / "a")]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: ValueError: MCFE_SEED must be an integer, got 'abc'"]
+    assert not (tmp_path / "a").exists()
 
 
 def _cli_pipeline(root: Path, env: dict) -> dict[str, bytes]:

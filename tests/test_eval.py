@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import mirrorcfe
-from mirrorcfe import autodiff, geometry, losses, training
+from mirrorcfe import autodiff, geometry, losses, training, workers
 from mirrorcfe.classifier import featurize
 from mirrorcfe.evaluation import (denoised_validity, evaluate_suite, faithfulness,
                                   gaussian_blur, gaussian_kernel)
@@ -105,7 +105,7 @@ def test_evaluate_suite_decodes_once_per_row(tiny_classifier, tiny_sets, tiny_ge
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(evaluation, "_usable_cpus", lambda: 1)  # the counters live in this process
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 1)  # the counters live in this process
     monkeypatch.setattr(evaluation, "featurize_batch", counted("featurize_batch", evaluation.featurize_batch, 1))
     monkeypatch.setattr(evaluation, "generate_images", counted("generate_images", evaluation.generate_images, 2))
     pairs = [(s, t) for s in range(4) for t in range(4) if s != t]
@@ -180,10 +180,10 @@ def forked(monkeypatch):
         assert os.getpid() != caller, "a pair pass ran in the calling process"
         return real(*args)
 
-    def use(workers: int) -> None:
+    def use(count: int) -> None:
         monkeypatch.setattr(evaluation, "FORK_MIN_ROWS", 1)
-        monkeypatch.setattr(evaluation, "_usable_cpus", lambda: workers)
-        monkeypatch.setattr(evaluation, "_pair_rows", outside if workers > 1 else real)
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: count)
+        monkeypatch.setattr(evaluation, "_pair_rows", outside if count > 1 else real)
 
     return use
 
@@ -200,12 +200,12 @@ def test_forked_report_is_byte_identical_to_one_worker(tiny_classifier, tiny_set
     else:
         gen = tiny_generator[0]
     reports = {}
-    for workers in (1, 2, 3):
-        forked(workers)
+    for count in (1, 2, 3):
+        forked(count)
         report = evaluate_suite(clf, gen, test_ds, ALL_PAIRS, max_per_pair=cap)
         assert multiprocessing.active_children() == []
-        report.write_csv(tmp_path / f"{workers}.csv")
-        reports[workers] = ((tmp_path / f"{workers}.csv").read_bytes(), repr(report.aggregates))
+        report.write_csv(tmp_path / f"{count}.csv")
+        reports[count] = ((tmp_path / f"{count}.csv").read_bytes(), repr(report.aggregates))
     assert len({row["source"] for row in report.rows}) >= 2  # more than one pair had rows to fan out
     assert reports[2] == reports[1] and reports[3] == reports[1]
 
@@ -245,7 +245,7 @@ def _package_exceptions() -> set[type]:
 
 
 def test_every_exception_survives_pickle():
-    # a forked evaluate re-raises a worker's exception by pickling it
+    # a forked worker (evaluate, train-classifier) re-raises its exception in the caller by pickling it
     assert set(RAISED) == _package_exceptions()
     for cls, args in RAISED.items():
         err = cls(*args)

@@ -23,6 +23,12 @@ def test_config_validation():
         TrainConfig(w_cls=-1.0)
     with pytest.raises(ValueError):
         TrainConfig(k_rule="gaussian")
+    for lr in (0.0, -0.01, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^lr must be finite and positive"):
+            TrainConfig(lr=lr)
+    for prob in (1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError, match=r"^recon_prob must lie in \[0, 1\]"):
+            TrainConfig(recon_prob=prob)
 
 
 @pytest.mark.parametrize("init, digest", [

@@ -22,9 +22,10 @@ imported (default: the one holding this script), so one copy of the script
 can hash any commit. The run takes under a minute on one core.
 
 The digest must not depend on how many CPUs the run may use: `evaluate`
-spreads its class pairs over one forked worker per CPU, and the same run
-under `taskset -c 0` (one worker, all in-process) must print the same last
-line.
+spreads its class pairs over one forked worker per CPU, and
+`train-classifier` computes each epoch's accuracy in one forked worker
+while the next epoch trains. The same run under `taskset -c 0`, where both
+commands stay in-process, must print the same last line.
 """
 
 from __future__ import annotations
