@@ -34,10 +34,15 @@ def cam(W: np.ndarray, f_last: np.ndarray) -> Cam:
     return Cam(unnormalized=u, normalized=normalized)
 
 
-def rho(k: float, rho_lower: float, rho_upper: float) -> float:
-    """Binarization threshold min(max(1-k, rho_lower), rho_upper)."""
+def check_rho_bounds(rho_lower: float, rho_upper: float) -> None:
+    """Reject CAM bounds outside 0 <= rho_lower <= rho_upper <= 1."""
     if not (0.0 <= rho_lower <= rho_upper <= 1.0):
         raise ValueError(f"need 0 <= rho_lower <= rho_upper <= 1, got {rho_lower}, {rho_upper}")
+
+
+def rho(k: float, rho_lower: float, rho_upper: float) -> float:
+    """Binarization threshold min(max(1-k, rho_lower), rho_upper)."""
+    check_rho_bounds(rho_lower, rho_upper)
     if not (0.0 <= k <= 1.0):
         raise ValueError(f"step factor k={k} outside [0, 1]")
     return min(max(1.0 - k, rho_lower), rho_upper)

@@ -35,6 +35,15 @@ class ClassifierConfig:
     num_classes: int = 4
     kernel: int = 3
 
+    def __post_init__(self):
+        if not self.stage_channels:
+            raise ValueError("stage_channels must name at least one stage")
+        for name, value in [("image_size", self.image_size), ("in_channels", self.in_channels),
+                            ("num_classes", self.num_classes), ("kernel", self.kernel),
+                            *(("stage_channels", c) for c in self.stage_channels)]:
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
     @property
     def latent_dim(self) -> int:
         return self.stage_channels[-1]
@@ -208,7 +217,7 @@ def load_classifier(path) -> ClassifierParams:
     try:
         config = ClassifierConfig(**{**cfg, "stage_channels": tuple(cfg["stage_channels"])})
         expected = tensor_shapes(config)
-    except (TypeError, IndexError) as err:
+    except (TypeError, ValueError) as err:
         raise ValueError(f"{path}: malformed classifier config ({type(err).__name__}: {err})") from None
     check_tensors(path, tensors, expected)
     return ClassifierParams(config, tensors)

@@ -4,8 +4,8 @@ The decision boundary between a source and a target class is a hyperplane
 ("mirror") given by the difference of their head weights. A step factor
 k in [0, 1] travels a latent point from itself (k=0) through its projection
 onto the boundary (k=0.5) to its reflection (k=1). In the multi-class case
-the reflection is estimated with L-BFGS so that the source and target logits
-swap while the remaining logits stay put.
+the reflection z_r' is the least-squares point whose source and target logits
+swap while the remaining logits stay put, computed in closed form.
 """
 
 from __future__ import annotations
@@ -21,9 +21,6 @@ FIRST_CFE_MIN_STEPS = 21  # the first-flip scan needs a grid at least this fine
 # path k = 0.5 lands on the boundary, where the s/t logit gap is rounding noise of either sign.
 FLIP_MARGIN = 1e-9
 CFE_TOL = 1e-3  # first_cfe_batch bisects until the flip is bracketed this tightly in k
-LBFGS_MEMORY = 10  # (s, y) pairs kept by lbfgs_minimize
-LBFGS_MAX_HALVINGS = 40  # step halvings before lbfgs_minimize's line search gives up
-REFLECTION_MAX_ITER = 500  # L-BFGS iterations of multiclass_reflection
 REFLECTION_RESIDUAL_TOL = 1e-3  # largest logit residual multiclass_reflection accepts
 
 
@@ -32,7 +29,7 @@ class DegenerateMirrorError(ValueError):
 
 
 class ReflectionUnreachableError(RuntimeError):
-    """Target logits could not be reached; carries the residual and iterate."""
+    """Target logits could not be reached; carries the residual and the least-squares point z_best."""
 
     def __init__(self, message, residual=None, z_best=None):  # pickle rebuilds from the message, then the dict
         super().__init__(message)
@@ -197,74 +194,6 @@ def first_cfe_batch(trajectory: Trajectory) -> np.ndarray:
     return np.where(flips.any(axis=-1), hi, np.nan)
 
 
-# -- L-BFGS -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LbfgsResult:
-    x: np.ndarray
-    value: float
-    iterations: int
-    grad_norm: float
-    converged: bool
-
-
-def lbfgs_minimize(fun, x0: np.ndarray, grad_tol: float = 1e-8, max_iter: int = 500) -> LbfgsResult:
-    """Limited-memory BFGS with two-loop recursion and Armijo backtracking.
-
-    fun(x) returns (value, gradient). Deterministic. If the line search fails
-    after LBFGS_MAX_HALVINGS step halvings, returns the current iterate unconverged.
-    """
-    armijo_c = 1e-4
-    x = np.asarray(x0, dtype=np.float64).copy()
-    f, g = fun(x)
-    if not (np.isfinite(f) and np.all(np.isfinite(g))):
-        raise ValueError("objective not finite at x0")
-    s_hist: list[np.ndarray] = []
-    y_hist: list[np.ndarray] = []
-    for it in range(max_iter):
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= grad_tol:
-            return LbfgsResult(x, float(f), it, gnorm, True)
-        # two-loop recursion
-        q = g.copy()
-        alphas = []
-        for s, y in zip(reversed(s_hist), reversed(y_hist)):
-            rho = 1.0 / (y @ s)
-            a = rho * (s @ q)
-            alphas.append((a, rho))
-            q -= a * y
-        if s_hist:
-            s, y = s_hist[-1], y_hist[-1]
-            q *= (s @ y) / (y @ y)
-        for (a, rho), s, y in zip(reversed(alphas), s_hist, y_hist):
-            q += (a - rho * (y @ q)) * s
-        d = -q
-        slope = g @ d
-        if slope >= 0.0:  # not a descent direction; fall back to steepest descent
-            d = -g
-            slope = -(gnorm**2)
-        step = 1.0
-        for _ in range(LBFGS_MAX_HALVINGS):
-            x_new = x + step * d
-            f_new, g_new = fun(x_new)
-            if np.isfinite(f_new) and f_new <= f + armijo_c * step * slope:
-                break
-            step *= 0.5
-        else:  # stalled
-            return LbfgsResult(x, float(f), it, gnorm, False)
-        s_vec = x_new - x
-        y_vec = g_new - g
-        if s_vec @ y_vec > 1e-16:
-            s_hist.append(s_vec)
-            y_hist.append(y_vec)
-            if len(s_hist) > LBFGS_MEMORY:
-                s_hist.pop(0)
-                y_hist.pop(0)
-        x, f, g = x_new, f_new, g_new
-    return LbfgsResult(x, float(f), max_iter, float(np.linalg.norm(g)), False)
-
-
 def reflection_target_logits(W: np.ndarray, b: np.ndarray, z_s: np.ndarray, s: int, t: int) -> np.ndarray:
     """Source logits with the s and t entries swapped; all others unchanged."""
     l_s = W.T @ z_s + b
@@ -273,27 +202,33 @@ def reflection_target_logits(W: np.ndarray, b: np.ndarray, z_s: np.ndarray, s: i
     return target
 
 
-def multiclass_reflection(z_s: np.ndarray, mirror: Mirror, W: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, LbfgsResult]:
-    """Estimate the reflection point z_r' whose logits swap source and target.
+@dataclass(frozen=True)
+class ReflectionSolve:
+    """How `multiclass_reflection` reached z_r': one Gauss-Newton step, exact for its linear residual."""
 
-    Minimizes ||(W^T z + b) - l_target||^2 with L-BFGS, initialized from the
-    closed-form binary reflection. Raises ReflectionUnreachableError if the
-    residual stays above REFLECTION_RESIDUAL_TOL (e.g. rank-deficient heads).
+    iterations: int = 1
+
+
+def multiclass_reflection(z_s: np.ndarray, mirror: Mirror, W: np.ndarray,
+                          b: np.ndarray) -> tuple[np.ndarray, ReflectionSolve]:
+    """The reflection point z_r' whose logits swap source and target and leave the others put.
+
+    Minimizes ||(W^T z + b) - l_target||^2, which is linear least squares:
+    z_r' is the binary reflection z0 = position(z_s, mirror, 1.0) minus the
+    minimum-norm least-squares correction, the minimizer nearest z0. Raises
+    ReflectionUnreachableError if the residual exceeds REFLECTION_RESIDUAL_TOL,
+    which a head of rank below its class count (fewer latent dimensions than
+    classes, say) can leave.
     """
     target = reflection_target_logits(W, b, z_s, mirror.source, mirror.target)
-
-    def fun(z):
-        r = W.T @ z + b - target
-        return float(r @ r), 2.0 * (W @ r)
-
     z0 = position(z_s, mirror, 1.0)
-    result = lbfgs_minimize(fun, z0, grad_tol=1e-12, max_iter=REFLECTION_MAX_ITER)
-    residual = float(np.linalg.norm(W.T @ result.x + b - target))
+    z_r = z0 - np.linalg.lstsq(W.T, W.T @ z0 + b - target, rcond=None)[0]
+    residual = float(np.linalg.norm(W.T @ z_r + b - target))
     if residual > REFLECTION_RESIDUAL_TOL:
         raise ReflectionUnreachableError(
             f"reflection target logits unreachable (residual {residual:.3e} > {REFLECTION_RESIDUAL_TOL:.1e})",
-            residual, result.x)
-    return result.x, result
+            residual, z_r)
+    return z_r, ReflectionSolve()
 
 
 def kfe_feature(f_s_last: np.ndarray, z_s: np.ndarray, k: float, mirror: Mirror,

@@ -60,6 +60,7 @@ class TrainConfig:
         check_learning_rate(self.lr)
         if not 0 <= self.recon_prob <= 1:
             raise ValueError(f"recon_prob must lie in [0, 1], got {self.recon_prob}")
+        camlib.check_rho_bounds(self.rho_lower, self.rho_upper)
 
 
 @dataclass
@@ -372,8 +373,16 @@ def load_generator(path, clf_config) -> GeneratorParams:
     if ssc != gen.ssc:
         raise ValueError(f"{path}: manifest says ssc={ssc}, but the tensors are "
                          f"those of {'an SSC' if gen.ssc else 'a plain'} generator")
-    if ssc and not {"rho_lower", "rho_upper"} <= set(cfg):
-        raise ValueError(f"{path}: SSC generator checkpoint lacks its rho_lower/rho_upper CAM bounds")
+    if ssc:
+        if not {"rho_lower", "rho_upper"} <= set(cfg):
+            raise ValueError(f"{path}: SSC generator checkpoint lacks its rho_lower/rho_upper CAM bounds")
+        bounds = cfg["rho_lower"], cfg["rho_upper"]
+        if any(type(v) not in (int, float) for v in bounds):
+            raise ValueError(f"{path}: SSC generator CAM bounds {bounds!r} are not numbers")
+        try:
+            camlib.check_rho_bounds(*bounds)
+        except ValueError as err:
+            raise ValueError(f"{path}: SSC generator CAM bounds: {err}") from None
     if not {"in_channels", "width"} <= set(cfg):
         raise ValueError(f"{path}: generator checkpoint lacks its in_channels/width config")
     if type(cfg["width"]) is not int:

@@ -533,6 +533,9 @@ def test_mistyped_config_value_one_error_line(workdir, tmp_path, capsys, section
     ("generator", "lr", float("inf"), "lr must be finite and positive, got inf"),
     ("generator", "recon_prob", 1.5, "recon_prob must lie in [0, 1], got 1.5"),  # made every element a recon
     ("generator", "recon_prob", -0.5, "recon_prob must lie in [0, 1], got -0.5"),
+    # reversed bounds used to fail only in an SSC run's first decode, after featurizing the train split
+    ("generator", "rho_lower", 0.9, "need 0 <= rho_lower <= rho_upper <= 1, got 0.9, 0.8"),
+    ("generator", "rho_upper", 1.5, "need 0 <= rho_lower <= rho_upper <= 1, got 0.2, 1.5"),
 ])
 def test_config_value_out_of_range_one_error_line(workdir, tmp_path, capsys, section, key, value, word):
     cfg = tmp_path / "c.json"

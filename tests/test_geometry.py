@@ -1,8 +1,8 @@
-"""Mirror geometry, the first-CFE search, L-BFGS, and feature synthesis."""
+"""Mirror geometry, the first-CFE search, the multiclass reflection, and feature synthesis."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mirrorcfe import geometry as geo
@@ -247,49 +247,42 @@ def test_first_cfe_batch_rows_match_single_trajectories(seed, n, c, rows, scale,
         assert stacked.latent_at(1.0)[i].tobytes() == traj.latent_at(1.0).tobytes()
         assert np.array_equal(found[i], geo.first_cfe_batch(traj), equal_nan=True)
 
-class TestLbfgs:
-    def test_quadratic_matches_direct_solve(self):
-        rng = np.random.default_rng(1)
-        A = rng.normal(size=(10, 10))
-        A = A @ A.T + 10 * np.eye(10)
-        bvec = rng.normal(size=10)
-
-        def fun(x):
-            return float(0.5 * x @ A @ x - bvec @ x), A @ x - bvec
-
-        res = geo.lbfgs_minimize(fun, np.zeros(10))
-        assert res.converged
-        assert np.max(np.abs(res.x - np.linalg.solve(A, bvec))) < 1e-6
-
-    def test_rosenbrock(self):
-        def fun(x):
-            a, b = 1.0, 100.0
-            f = (a - x[0]) ** 2 + b * (x[1] - x[0] ** 2) ** 2
-            g = np.array([-2 * (a - x[0]) - 4 * b * x[0] * (x[1] - x[0] ** 2),
-                          2 * b * (x[1] - x[0] ** 2)])
-            return float(f), g
-
-        res = geo.lbfgs_minimize(fun, np.array([-1.2, 1.0]), max_iter=2000)
-        assert np.max(np.abs(res.x - 1.0)) < 1e-5
-
-    def test_stalled_line_search_returns_unconverged(self):
-        # the gradient's sign is wrong, so no step along the search direction lowers the value
-        x0 = np.array([1.0, -2.0, 0.5])
-        res = geo.lbfgs_minimize(lambda x: (float(x @ x), -2.0 * x), x0)
-        assert not res.converged and res.iterations == 0
-        assert res.x.tobytes() == x0.tobytes() and res.value == float(x0 @ x0)
-        assert res.grad_norm == float(np.linalg.norm(2.0 * x0))
-
-    def test_nonfinite_start_rejected(self):
-        with pytest.raises(ValueError):
-            geo.lbfgs_minimize(lambda x: (float("inf"), x), np.zeros(2))
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 20), c=st.integers(3, 6),
+       scale=st.sampled_from([1e-2, 1.0, 10.0]))
+def test_multiclass_reflection_is_the_minimum_norm_least_squares_step(seed, n, c, scale):
+    # N >= C: the swapped logits are reached to rounding, and z_r' - z0 has no component in the null space
+    # of W^T, so z_r' is the reachable point nearest the binary reflection z0. N < C: the part of the
+    # target outside the range of W^T is out of reach, and the solve raises with exactly that residual.
+    rng = np.random.default_rng(seed)
+    W, b, z_s = rng.normal(size=(n, c)) * scale, rng.normal(size=c), rng.normal(size=n)
+    s, t = (int(i) for i in rng.choice(c, size=2, replace=False))
+    m = geo.make_mirror(W, b, s, t)
+    target = geo.reflection_target_logits(W, b, z_s, s, t)
+    z0 = geo.position(z_s, m, 1.0)
+    u, _, vt = np.linalg.svd(W.T)
+    if n < c:
+        unreachable = float(np.linalg.norm(u[:, n:].T @ (target - b)))
+        assume(unreachable > 2 * geo.REFLECTION_RESIDUAL_TOL)
+        with pytest.raises(geo.ReflectionUnreachableError) as info:
+            geo.multiclass_reflection(z_s, m, W, b)
+        z_best = info.value.z_best
+        assert info.value.residual == pytest.approx(unreachable, rel=1e-9)
+        assert info.value.residual == float(np.linalg.norm(W.T @ z_best + b - target))
+        return
+    z_r, res = geo.multiclass_reflection(z_s, m, W, b)
+    assert res.iterations == 1
+    size = np.linalg.norm(W, 2) * np.linalg.norm(z_r) + np.linalg.norm(b) + np.linalg.norm(target)
+    assert np.linalg.norm(W.T @ z_r + b - target) <= 1e-13 * size
+    step = z_r - z0
+    assert np.max(np.abs(vt[c:] @ step), initial=0.0) <= 1e-13 * (np.linalg.norm(step) + np.linalg.norm(z0))
 
 
 class TestMulticlassReflection:
     def test_binary_head_matches_closed_form(self):
         # the swapped-logit target lies on the reflection line exactly when the
-        # two weight columns share a norm; then L-BFGS must return the Eq.-style
-        # closed-form reflection itself
+        # two weight columns share a norm; then the binary reflection already
+        # reaches it, and the least-squares correction from it is zero
         rng = np.random.default_rng(2)
         W = rng.normal(size=(16, 2))
         W /= np.linalg.norm(W, axis=0, keepdims=True)

@@ -1,6 +1,7 @@
 """PGM image files and the binary checkpoint container."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -151,9 +152,20 @@ def test_classifier_tensors_checked_against_config(tmp_path, edit, word):
     assert str(path) in str(info.value)
 
 
-@pytest.mark.parametrize("edit", [lambda c: c.update(extra=1), lambda c: c.pop("kernel")], ids=["extra", "missing"])
-def test_classifier_manifest_holds_exactly_the_config_fields(tmp_path, edit):
-    # an extra key used to be ignored
+@pytest.mark.parametrize("edit, word", [
+    pytest.param(lambda c: c.update(extra=1), "classifier config keys", id="extra"),  # used to be ignored
+    pytest.param(lambda c: c.pop("kernel"), "classifier config keys", id="missing"),
+    # impossible values fail with the field named; with tensors to match, kernel 0 and num_classes 0 used to
+    # load, and explain then leaked a raw numpy error
+    pytest.param(lambda c: c.update(kernel=0), "kernel must be an integer >= 1, got 0", id="kernel-0"),
+    pytest.param(lambda c: c.update(num_classes=0), "num_classes must be an integer >= 1, got 0", id="classes-0"),
+    pytest.param(lambda c: c.update(image_size=True), "image_size must be an integer >= 1, got True", id="bool"),
+    pytest.param(lambda c: c.update(in_channels=1.0), "in_channels must be an integer >= 1, got 1.0", id="float"),
+    pytest.param(lambda c: c.update(stage_channels=[]), "stage_channels must name at least one stage", id="no-stage"),
+    pytest.param(lambda c: c.update(stage_channels=[8, 0]), "stage_channels must be an integer >= 1, got 0",
+                 id="zero-stage"),
+])
+def test_classifier_manifest_holds_exactly_the_config_fields(tmp_path, edit, word):
     from mirrorcfe.classifier import ClassifierConfig, init_params, load_classifier, save_classifier
 
     params = init_params(ClassifierConfig(), seed=0)
@@ -162,7 +174,7 @@ def test_classifier_manifest_holds_exactly_the_config_fields(tmp_path, edit):
     assert config == {"image_size": 16, "in_channels": 1, "stage_channels": [8, 16], "num_classes": 4, "kernel": 3}
     edit(config)
     path = _resaved(tmp_path, "classifier", params.tensors, config, lambda t: None)
-    with pytest.raises(ValueError, match="classifier config keys") as info:
+    with pytest.raises(ValueError, match=re.escape(word)) as info:
         load_classifier(path)
     assert type(info.value) is ValueError and str(path) in str(info.value) and "\n" not in str(info.value)
 

@@ -1,6 +1,9 @@
 """Generator/discriminator training loop and batch sampler."""
 
+import ast
 import hashlib
+import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,6 +32,10 @@ def test_config_validation():
     for prob in (1.5, -0.1, float("nan")):
         with pytest.raises(ValueError, match=r"^recon_prob must lie in \[0, 1\]"):
             TrainConfig(recon_prob=prob)
+    for lower, upper in ((0.9, 0.1), (-0.1, 0.8), (0.2, 1.5), (float("nan"), 0.8)):
+        # reversed bounds used to fail only in an SSC run's first decode, after featurizing the train split
+        with pytest.raises(ValueError, match=r"^need 0 <= rho_lower <= rho_upper <= 1"):
+            TrainConfig(rho_lower=lower, rho_upper=upper)
 
 
 @pytest.mark.parametrize("init, digest", [
@@ -232,6 +239,24 @@ class TestSscSkip:
         with pytest.raises(ValueError, match="rho_lower"):
             load_generator(tmp_path / "g.ckpt", ClassifierConfig())
 
+    @pytest.mark.parametrize("lower, upper, word", [
+        ("x", 0.8, "('x', 0.8) are not numbers"),  # explain used to fail in the decode with a TypeError
+        (True, 0.8, "(True, 0.8) are not numbers"),  # used to pass as the number 1
+        (None, 0.8, "(None, 0.8) are not numbers"),
+        (0.9, 0.1, "need 0 <= rho_lower <= rho_upper <= 1, got 0.9, 0.1"),  # used to fail in cam.rho
+        (0.2, 1.5, "need 0 <= rho_lower <= rho_upper <= 1, got 0.2, 1.5"),
+        (float("nan"), 0.8, "need 0 <= rho_lower <= rho_upper <= 1, got nan, 0.8"),
+    ], ids=["str", "bool", "null", "reversed", "above-one", "nan"])
+    def test_checkpoint_with_malformed_bounds_rejected(self, tmp_path, lower, upper, word):
+        from mirrorcfe.classifier import ClassifierConfig
+
+        gen = init_generator(ClassifierConfig(), seed=0, ssc=True)
+        gen.config.update(rho_lower=lower, rho_upper=upper)
+        save_generator(tmp_path / "g.ckpt", gen)
+        with pytest.raises(ValueError, match=re.escape(word)) as info:
+            load_generator(tmp_path / "g.ckpt", ClassifierConfig())
+        assert str(tmp_path / "g.ckpt") in str(info.value) and "\n" not in str(info.value)
+
     @pytest.mark.parametrize("ssc", [True, False])
     def test_manifest_ssc_must_match_tensors(self, tmp_path, ssc):
         # the weights decide the architecture; a manifest that disagrees is rejected on load
@@ -254,6 +279,13 @@ def test_classifier_mutation_raises(tiny_sets, tiny_classifier, monkeypatch):
     monkeypatch.setattr(training, "checkpoint_checksum", lambda params: next(checksums))
     with pytest.raises(ClassifierMutatedError):
         train_generator(clf, train_ds, TrainConfig(epochs=1, batch_size=4, seed=0))
+
+
+def test_package_holds_no_assert_statement():
+    # python -O strips every assert, so no invariant of the package may rest on one
+    found = [f"{path.name}:{node.lineno}" for path in sorted(Path(training.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path))) if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_generate_image_range(tiny_sets, tiny_classifier, tiny_generator):
