@@ -17,8 +17,7 @@ from . import autodiff as ad
 
 @dataclass(frozen=True)
 class Cam:
-    unnormalized: np.ndarray  # (|classes|, H_l, W_l)
-    normalized: np.ndarray  # same shape, each channel in [0, 1]
+    normalized: np.ndarray  # (|classes|, H_l, W_l), each channel in [0, 1]
 
 
 def cam(W: np.ndarray, f_last: np.ndarray) -> Cam:
@@ -31,7 +30,7 @@ def cam(W: np.ndarray, f_last: np.ndarray) -> Cam:
     u = np.einsum("nc,nhw->chw", W, f_last)
     peak = u.max(axis=(1, 2), keepdims=True)
     normalized = np.where(peak > 0.0, np.maximum(u, 0.0) / np.where(peak > 0.0, peak, 1.0), 0.0)
-    return Cam(unnormalized=u, normalized=normalized)
+    return Cam(normalized=normalized)
 
 
 def check_rho_bounds(rho_lower: float, rho_upper: float) -> None:
@@ -59,19 +58,18 @@ def nearest_upsample(mask: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 @dataclass(frozen=True)
 class PriorMask:
     mask: np.ndarray  # binary (H_l, W_l)
-    threshold: float
-    k: float
     per_layer: dict[int, np.ndarray]  # layer index -> binary (H_i, W_i)
 
 
 def prior_mask(cam_source: np.ndarray, cam_target: np.ndarray, threshold: float,
                k: float, layer_shapes: dict[int, tuple[int, int]]) -> PriorMask:
-    """Union of the binarized source/target CAMs, upsampled per tapped layer."""
+    """Union of the binarized source/target CAMs, upsampled per tapped layer. `k`, the step factor
+    that `threshold` was computed for, is not read."""
     if cam_source.shape != cam_target.shape:
         raise ad.ShapeError("prior_mask", cam_source.shape, cam_target.shape)
     mask = ((cam_source > threshold) | (cam_target > threshold)).astype(np.float64)
     per_layer = {i: nearest_upsample(mask, shape) for i, shape in layer_shapes.items()}
-    return PriorMask(mask=mask, threshold=threshold, k=k, per_layer=per_layer)
+    return PriorMask(mask=mask, per_layer=per_layer)
 
 
 def spe_transform(f_s_i, f_k_last, params: dict):

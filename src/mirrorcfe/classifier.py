@@ -25,21 +25,20 @@ from .dataset import LabeledDataset
 
 FEATURIZE_CHUNK = 64  # images per classifier pass in featurize_batch
 ACCURACY_CHUNK = 128  # images per classifier pass in accuracy
+CHANNELS = 1  # every image is a one-channel PGM
+KERNEL = 3  # side of every conv kernel
 
 
 @dataclass(frozen=True)
 class ClassifierConfig:
     image_size: int = 16
-    in_channels: int = 1
     stage_channels: tuple[int, ...] = (8, 16)
     num_classes: int = 4
-    kernel: int = 3
 
     def __post_init__(self):
         if not self.stage_channels:
             raise ValueError("stage_channels must name at least one stage")
-        for name, value in [("image_size", self.image_size), ("in_channels", self.in_channels),
-                            ("num_classes", self.num_classes), ("kernel", self.kernel),
+        for name, value in [("image_size", self.image_size), ("num_classes", self.num_classes),
                             *(("stage_channels", c) for c in self.stage_channels)]:
             if type(value) is not int or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
@@ -78,9 +77,9 @@ class FeatureStack:
 def tensor_shapes(config: ClassifierConfig) -> dict[str, tuple[int, ...]]:
     """Name and shape of every classifier tensor, in initialization order."""
     shapes = {}
-    c_in = config.in_channels
+    c_in = CHANNELS
     for i, c_out in enumerate(config.stage_channels):
-        shapes[f"conv{i}_w"] = (c_out, c_in, config.kernel, config.kernel)
+        shapes[f"conv{i}_w"] = (c_out, c_in, KERNEL, KERNEL)
         shapes[f"conv{i}_b"] = (c_out,)
         c_in = c_out
     shapes["head_w"] = (config.latent_dim, config.num_classes)
@@ -136,8 +135,8 @@ def forward_graph(graph_params: dict, config: ClassifierConfig, x) -> dict:
 
 
 def check_images(config: ClassifierConfig, images) -> None:
-    """Raise a ShapeError at the first image that is not (in_channels, image_size, image_size)."""
-    shape = (config.in_channels, config.image_size, config.image_size)
+    """Raise a ShapeError at the first image that is not (CHANNELS, image_size, image_size)."""
+    shape = (CHANNELS, config.image_size, config.image_size)
     for image in images:
         if image.shape != shape:
             raise ad.ShapeError("featurize", image.shape, shape)
@@ -243,26 +242,23 @@ def check_learning_rate(lr: float) -> None:
 
 
 def train_classifier(train_ds: LabeledDataset, test_ds: LabeledDataset | None,
-                     hyper: TrainHyper, config: ClassifierConfig | None = None,
-                     log=None) -> tuple[ClassifierParams, list[dict]]:
+                     hyper: TrainHyper, log=None) -> tuple[ClassifierParams, list[dict]]:
     """Train with Adam on one-hot KL divergence (== cross-entropy).
 
-    Without a config, the input size comes from the first train image and
-    the class count from the distinct labels of both splits. Every image must
-    have the config's input shape and every label lie in [0, num_classes).
-    Deterministic for a fixed hyper/config. Returns the frozen parameters and
-    a per-epoch history of mean loss and train/test accuracy. With two
-    epochs or more, one forked worker at idle priority (`workers.forked`)
-    takes each epoch's accuracy pass while the next epoch trains; `log` gets
-    each row once it is complete, in epoch order.
+    The image size comes from the first train image and the class count from
+    the distinct labels of both splits. Before the first step, every image
+    must be (CHANNELS, image_size, image_size) and every label lie in
+    [0, num_classes). Deterministic for a fixed hyper. Returns the frozen
+    parameters and a per-epoch history of mean loss and train/test accuracy.
+    With two epochs or more, one forked worker at idle priority
+    (`workers.forked`) takes each epoch's accuracy pass while the next epoch
+    trains; `log` gets each row once it is complete, in epoch order.
     """
     if len(train_ds) == 0:
         raise ValueError("train split is empty")
     splits = [train_ds] if test_ds is None else [train_ds, test_ds]
-    if config is None:
-        in_channels, image_size = train_ds.images[0].shape[:2]
-        config = ClassifierConfig(image_size=image_size, in_channels=in_channels,
-                                  num_classes=len({label for ds in splits for label in ds.labels}))
+    config = ClassifierConfig(image_size=train_ds.images[0].shape[-1],
+                              num_classes=len({label for ds in splits for label in ds.labels}))
     for ds in splits:
         check_images(config, ds.images)
         for label in ds.labels:

@@ -16,8 +16,8 @@ from . import autodiff as ad
 from . import cam as camlib
 from . import geometry, losses
 from .checkpoint import check_tensors, load_checkpoint, save_checkpoint
-from .classifier import (ClassifierParams, check_learning_rate, checkpoint_checksum, classify, featurize, forward_graph,
-                         he_normal)
+from .classifier import (CHANNELS, ClassifierParams, check_learning_rate, checkpoint_checksum, classify, featurize,
+                         forward_graph, he_normal)
 from .dataset import LabeledDataset
 
 # Feature maps per generator pass in generate_images. Measured on a 2-vCPU VM with a 2 MB L2 cache per
@@ -79,19 +79,19 @@ class DiscriminatorParams:
     tensors: dict[str, np.ndarray]
 
 
-def generator_shapes(clf_cfg, ssc: bool, width: int) -> dict[str, tuple[int, ...]]:
+def generator_shapes(clf_cfg, ssc: bool) -> dict[str, tuple[int, ...]]:
     """Name and shape of every tensor of a generator that decodes `clf_cfg`'s features, in
-    initialization order: it reads the latent channels, writes the input channels, and an SSC
+    initialization order: it reads the latent channels, writes CHANNELS, and an SSC
     generator's skip reads the first stage."""
-    latent, skip, out = clf_cfg.latent_dim, clf_cfg.stage_channels[0], clf_cfg.in_channels
+    latent, skip = clf_cfg.latent_dim, clf_cfg.stage_channels[0]
     shapes = {
-        "g_conv1_w": (width, latent, 3, 3), "g_conv1_b": (width,),
-        "g_conv2_w": (width, width, 3, 3), "g_conv2_b": (width,),
-        "g_out_w": (out, width, 3, 3), "g_out_b": (out,),
+        "g_conv1_w": (WIDTH, latent, 3, 3), "g_conv1_b": (WIDTH,),
+        "g_conv2_w": (WIDTH, WIDTH, 3, 3), "g_conv2_b": (WIDTH,),
+        "g_out_w": (CHANNELS, WIDTH, 3, 3), "g_out_b": (CHANNELS,),
     }
     if ssc:
         shapes.update({
-            "g_fuse_w": (width, width + skip, 3, 3), "g_fuse_b": (width,),
+            "g_fuse_w": (WIDTH, WIDTH + skip, 3, 3), "g_fuse_b": (WIDTH,),
             "spe0_bottleneck_w": (latent, skip, 1, 1), "spe0_bottleneck_b": (latent,),
             "spe0_decoder_w": (skip, 2 * latent, 1, 1), "spe0_decoder_b": (skip,),
         })
@@ -102,14 +102,14 @@ def init_generator(clf_cfg, seed: int, ssc: bool) -> GeneratorParams:
     """He-normal weights and zero biases in the layout of `generator_shapes`."""
     rng = np.random.default_rng(seed)
     tensors = {name: np.zeros(shape) if name.endswith("_b") else he_normal(rng, shape)
-               for name, shape in generator_shapes(clf_cfg, ssc, WIDTH).items()}
-    return GeneratorParams(tensors=tensors, config={"in_channels": clf_cfg.in_channels, "width": WIDTH})
+               for name, shape in generator_shapes(clf_cfg, ssc).items()}
+    return GeneratorParams(tensors=tensors)
 
 
 def init_discriminator(clf_cfg, seed: int) -> DiscriminatorParams:
     rng = np.random.default_rng(seed + 1)
     return DiscriminatorParams({
-        "d_conv1_w": he_normal(rng, (8, clf_cfg.in_channels, 3, 3)), "d_conv1_b": np.zeros(8),
+        "d_conv1_w": he_normal(rng, (8, CHANNELS, 3, 3)), "d_conv1_b": np.zeros(8),
         "d_conv2_w": he_normal(rng, (16, 8, 3, 3)), "d_conv2_b": np.zeros(16),
         "d_head_w": rng.normal(0.0, 0.25, (16, 1)), "d_head_b": np.zeros(1),
     })
@@ -165,11 +165,10 @@ def discriminator_forward(dp: dict[str, ad.Tensor], x: ad.Tensor) -> ad.Tensor:
 
 @dataclass
 class BatchElement:
-    kind: str  # "kfe" | "recon"
     x_s: np.ndarray
     source: int  # predicted class of x_s
     target: int  # == source for recon elements
-    k: float | None
+    k: float | None  # None for a reconstruction element
     z_s: np.ndarray
     z_k: np.ndarray
     f_input: np.ndarray  # (C_l, H_l, W_l) fed to the generator
@@ -206,9 +205,8 @@ def sample_kfe_batch(dataset: LabeledDataset, clf: ClassifierParams, stacks: lis
         s_pred = int(np.argmax(stack.probs))
         if rng.uniform() < cfg.recon_prob:
             elements.append(BatchElement(
-                kind="recon", x_s=dataset.images[i], source=s_pred, target=s_pred,
-                k=None, z_s=stack.z, z_k=stack.z, f_input=stack.f_last,
-                f_s_stack=stack.features, p_intended=stack.probs))
+                x_s=dataset.images[i], source=s_pred, target=s_pred, k=None, z_s=stack.z, z_k=stack.z,
+                f_input=stack.f_last, f_s_stack=stack.features, p_intended=stack.probs))
             continue
         others = [c for c in classes if c != s_pred]
         t = int(others[rng.integers(len(others))])
@@ -226,7 +224,7 @@ def sample_kfe_batch(dataset: LabeledDataset, clf: ClassifierParams, stacks: lis
             j = int(pools[ref_class][rng.integers(len(pools[ref_class]))])
             x_ref, z_ref = dataset.images[j], stacks[j].z
         elements.append(BatchElement(
-            kind="kfe", x_s=dataset.images[i], source=s_pred, target=t, k=k,
+            x_s=dataset.images[i], source=s_pred, target=t, k=k,
             z_s=stack.z, z_k=z_k, f_input=f_k, f_s_stack=stack.features,
             p_intended=p_intended, x_ref=x_ref, z_ref=z_ref))
     return elements
@@ -287,7 +285,7 @@ def train_generator(clf: ClassifierParams, dataset: LabeledDataset, cfg: TrainCo
             rec_terms, fea_terms, tri_terms = [], [], []
             for i, e in enumerate(elements):
                 x_i = ad.slice_rows(x_gen, i, i + 1)
-                if e.kind == "recon":
+                if e.k is None:
                     rec_terms.append(losses.loss_rec(e.x_s[None], x_i))
                 else:
                     z_hat = ad.slice_rows(clf_nodes["z"], i, i + 1)
@@ -363,8 +361,8 @@ def save_generator(path, gen: GeneratorParams) -> None:
 
 
 def load_generator(path, clf_config) -> GeneratorParams:
-    """A generator checkpoint, its tensors checked against the `generator_shapes` of `clf_config` and
-    the manifest's width: a generator built for another classifier fails here with one ValueError."""
+    """A generator checkpoint, its tensors checked against the `generator_shapes` of `clf_config`: a
+    generator built for another classifier fails here with one ValueError."""
     role, tensors, cfg = load_checkpoint(path)
     if role != "generator":
         raise ValueError(f"{path}: expected a generator checkpoint, got role {role!r}")
@@ -383,14 +381,7 @@ def load_generator(path, clf_config) -> GeneratorParams:
             camlib.check_rho_bounds(*bounds)
         except ValueError as err:
             raise ValueError(f"{path}: SSC generator CAM bounds: {err}") from None
-    if not {"in_channels", "width"} <= set(cfg):
-        raise ValueError(f"{path}: generator checkpoint lacks its in_channels/width config")
-    if type(cfg["width"]) is not int:
-        raise ValueError(f"{path}: generator width {cfg['width']!r} is not an integer")
-    check_tensors(path, tensors, generator_shapes(clf_config, ssc, cfg["width"]))
-    if type(cfg["in_channels"]) is not int or cfg["in_channels"] != clf_config.in_channels:
-        raise ValueError(f"{path}: manifest in_channels {cfg['in_channels']!r} does not match "
-                         f"the classifier's {clf_config.in_channels}")
+    check_tensors(path, tensors, generator_shapes(clf_config, ssc))
     return gen
 
 

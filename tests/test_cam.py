@@ -15,8 +15,9 @@ class TestCam:
         W = np.array([[1.0, 0.0]])
         f = np.array([[[1.0, -1.0], [3.0, 0.0]]])
         out = camlib.cam(W, f)
-        assert np.array_equal(out.unnormalized[0], [[1.0, -1.0], [3.0, 0.0]])
+        # U = [[1, -1], [3, 0]]: the negative cell clips to 0, the rest scale by the peak 3
         assert np.allclose(out.normalized[0], [[1 / 3, 0.0], [1.0, 0.0]], atol=1e-12)
+        assert np.array_equal(out.normalized[1], np.zeros((2, 2)))  # W selects nothing for class 1
 
     def test_all_nonpositive_channel_is_zero(self):
         W = np.array([[1.0]])
@@ -30,8 +31,9 @@ class TestCam:
         f = rng.normal(size=(16, 4, 4))
         out = camlib.cam(W, f)
         for c in range(4):
-            want = sum(W[n, c] * f[n] for n in range(16))
-            assert np.allclose(out.unnormalized[c], want, atol=1e-12)
+            u = sum(W[n, c] * f[n] for n in range(16))
+            want = np.maximum(u, 0.0) / u.max()
+            assert np.allclose(out.normalized[c], want, atol=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ad.ShapeError):

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import re
 
 import numpy as np
 import pytest
@@ -140,6 +141,17 @@ def test_training_deterministic(tiny_sets):
     b, _ = train_classifier(train_ds, None, hyper)
     assert checkpoint_checksum(a) == checkpoint_checksum(b)
 
+
+def test_training_rejects_multichannel_images_before_the_first_step(monkeypatch):
+    # every image is a one-channel PGM; a 3-channel classifier used to train, though no command could use it
+    from mirrorcfe.classifier import TrainHyper, train_classifier
+
+    steps = []
+    monkeypatch.setattr(ad, "adam_step", lambda *args: steps.append(args))
+    ds = LabeledDataset(images=[np.full((3, 16, 16), 0.5)] * 4, labels=[0, 1, 0, 1])
+    with pytest.raises(ad.ShapeError, match=re.escape("featurize: incompatible shapes [(3, 16, 16), (1, 16, 16)]")):
+        train_classifier(ds, None, TrainHyper(epochs=1, batch_size=2, seed=0))
+    assert steps == []
 
 
 @pytest.fixture

@@ -384,12 +384,14 @@ def test_generator_missing_tensor_one_error_line(workdir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["explain", "evaluate"])
-@pytest.mark.parametrize("other, ssc, word", [
-    (dict(stage_channels=(8, 12)), False, "'g_conv1_w' has shape (32, 12, 3, 3)"),
-    (dict(stage_channels=(4, 16)), True, "'g_fuse_w' has shape (32, 36, 3, 3)"),
-    (dict(in_channels=3), False, "'g_out_b' has shape (3,)"),
+@pytest.mark.parametrize("other, forged, ssc, word", [
+    (dict(stage_channels=(8, 12)), {}, False, "'g_conv1_w' has shape (32, 12, 3, 3)"),
+    (dict(stage_channels=(4, 16)), {}, True, "'g_fuse_w' has shape (32, 36, 3, 3)"),
+    # three output channels, which init_generator cannot build
+    ({}, dict(g_out_w=np.zeros((3, 32, 3, 3)), g_out_b=np.zeros(3)), False, "'g_out_b' has shape (3,)"),
 ], ids=["plain-latent", "ssc-first-stage", "output-channels"])
-def test_generator_for_another_classifier_one_error_line(workdir, tmp_path, capsys, command, other, ssc, word):
+def test_generator_for_another_classifier_one_error_line(workdir, tmp_path, capsys, command, other, forged, ssc,
+                                                         word):
     # such a generator is rejected on load; explain used to make its output directory and fail in the decode,
     # or, with other output channels, in write_pgm
     from mirrorcfe.classifier import ClassifierConfig
@@ -397,6 +399,7 @@ def test_generator_for_another_classifier_one_error_line(workdir, tmp_path, caps
 
     gen = tmp_path / "gen.ckpt"
     built = init_generator(ClassifierConfig(**other), 0, ssc=ssc)
+    built.tensors.update(forged)
     built.config.update(rho_lower=0.2, rho_upper=0.8)
     save_generator(gen, built)
     out = tmp_path / "out"

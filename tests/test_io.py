@@ -154,13 +154,14 @@ def test_classifier_tensors_checked_against_config(tmp_path, edit, word):
 
 @pytest.mark.parametrize("edit, word", [
     pytest.param(lambda c: c.update(extra=1), "classifier config keys", id="extra"),  # used to be ignored
-    pytest.param(lambda c: c.pop("kernel"), "classifier config keys", id="missing"),
-    # impossible values fail with the field named; with tensors to match, kernel 0 and num_classes 0 used to
-    # load, and explain then leaked a raw numpy error
-    pytest.param(lambda c: c.update(kernel=0), "kernel must be an integer >= 1, got 0", id="kernel-0"),
+    pytest.param(lambda c: c.pop("num_classes"), "classifier config keys", id="missing"),
+    # a manifest written before the input channels and kernel became constants must be re-made
+    pytest.param(lambda c: c.update(in_channels=1, kernel=3), "classifier config keys", id="old-format"),
+    # impossible values fail with the field named; with tensors to match, num_classes 0 used to load, and
+    # explain then leaked a raw numpy error
     pytest.param(lambda c: c.update(num_classes=0), "num_classes must be an integer >= 1, got 0", id="classes-0"),
     pytest.param(lambda c: c.update(image_size=True), "image_size must be an integer >= 1, got True", id="bool"),
-    pytest.param(lambda c: c.update(in_channels=1.0), "in_channels must be an integer >= 1, got 1.0", id="float"),
+    pytest.param(lambda c: c.update(image_size=16.0), "image_size must be an integer >= 1, got 16.0", id="float"),
     pytest.param(lambda c: c.update(stage_channels=[]), "stage_channels must name at least one stage", id="no-stage"),
     pytest.param(lambda c: c.update(stage_channels=[8, 0]), "stage_channels must be an integer >= 1, got 0",
                  id="zero-stage"),
@@ -171,7 +172,7 @@ def test_classifier_manifest_holds_exactly_the_config_fields(tmp_path, edit, wor
     params = init_params(ClassifierConfig(), seed=0)
     save_classifier(tmp_path / "good.ckpt", params)
     _, _, config = load_checkpoint(tmp_path / "good.ckpt")
-    assert config == {"image_size": 16, "in_channels": 1, "stage_channels": [8, 16], "num_classes": 4, "kernel": 3}
+    assert config == {"image_size": 16, "stage_channels": [8, 16], "num_classes": 4}
     edit(config)
     path = _resaved(tmp_path, "classifier", params.tensors, config, lambda t: None)
     with pytest.raises(ValueError, match=re.escape(word)) as info:
@@ -197,36 +198,6 @@ def test_generator_tensors_checked_against_config(tmp_path, edit, word, ssc):
     with pytest.raises(ValueError, match=word) as info:
         load_generator(path, ClassifierConfig())
     assert str(path) in str(info.value)
-
-
-@pytest.mark.parametrize("width", ["32", None, [32], 32.0, True], ids=["str", "null", "list", "float", "bool"])
-def test_generator_width_must_be_an_integer(tmp_path, width):
-    # a string width used to leak a TypeError from the shape arithmetic
-    from mirrorcfe.classifier import ClassifierConfig
-    from mirrorcfe.training import init_generator, load_generator
-
-    gen = init_generator(ClassifierConfig(), seed=0, ssc=True)
-    path = tmp_path / "g.ckpt"
-    save_checkpoint(path, "generator", gen.tensors,
-                    {**gen.config, "ssc": True, "rho_lower": 0.2, "rho_upper": 0.8, "width": width})
-    with pytest.raises(ValueError, match="width .* is not an integer") as info:
-        load_generator(path, ClassifierConfig())
-    assert str(path) in str(info.value) and "\n" not in str(info.value)
-
-
-@pytest.mark.parametrize("in_channels", [3, 0, "1", 1.0, True, None], ids=["three", "zero", "str", "float", "bool",
-                                                                          "null"])
-def test_generator_manifest_in_channels_must_match_the_classifier(tmp_path, in_channels):
-    # the tensors fit the 1-channel classifier; only the manifest's echo disagrees, which used to load
-    from mirrorcfe.classifier import ClassifierConfig
-    from mirrorcfe.training import init_generator, load_generator
-
-    gen = init_generator(ClassifierConfig(), seed=0, ssc=False)
-    path = tmp_path / "g.ckpt"
-    save_checkpoint(path, "generator", gen.tensors, {**gen.config, "ssc": False, "in_channels": in_channels})
-    with pytest.raises(ValueError, match="manifest in_channels .* does not match the classifier's 1") as info:
-        load_generator(path, ClassifierConfig())
-    assert str(path) in str(info.value) and "\n" not in str(info.value)
 
 
 # -- byte fuzz: every malformed file ends in one ValueError-family error ------------------------

@@ -80,14 +80,12 @@ class TestBatchSampler:
         b = sample_kfe_batch(train_ds, clf, stacks, 32, np.random.default_rng(5), cfg)
         assert len(a) == 32
         for ea, eb in zip(a, b):
-            assert ea.kind == eb.kind and ea.source == eb.source and ea.target == eb.target
+            assert ea.source == eb.source and ea.target == eb.target
             assert (ea.k is None and eb.k is None) or ea.k == eb.k
             assert np.array_equal(ea.f_input, eb.f_input)
-        kinds = {e.kind for e in a}
-        assert kinds <= {"kfe", "recon"}
         for e in a:
-            if e.kind == "recon":
-                assert e.k is None and e.target == e.source
+            if e.k is None:  # a reconstruction element
+                assert e.target == e.source
                 assert np.array_equal(e.z_k, e.z_s)
             else:
                 assert e.target != e.source
